@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     SplitAlgebraError,
@@ -148,13 +149,29 @@ def embeds(field: QuadraticField, D: QuaternionQ) -> bool:
     return all(not square_class(field.d, v).is_identity() for v in ram)
 
 
+_SIEVE_BLOCK = 1 << 16
+
+
 def _squarefree_candidates(limit: int):
-    """Squarefree d ordered by |d|, positive before negative, skipping 1."""
+    """Squarefree d ordered by |d|, positive before negative, skipping 1.
+
+    A segmented sieve: each block [lo, hi) crosses out the multiples of q^2
+    for 2 <= q <= sqrt(hi - 1). Blocks double in width up to 2^16, so an
+    early witness costs a small block and memory stays bounded for any limit.
+    """
     yield -1
-    for n in range(2, limit + 1):
-        if factor(n).squarefree_part() == n:
+    lo, width = 2, 64
+    while lo <= limit:
+        hi = min(lo + width, limit + 1)
+        free = bytearray(b"\x01") * (hi - lo)
+        for q in range(2, isqrt(hi - 1) + 1):
+            q2 = q * q
+            start = -lo % q2
+            free[start::q2] = bytes(len(range(start, hi - lo, q2)))
+        for n in itertools.compress(range(lo, hi), free):
             yield n
             yield -n
+        lo, width = hi, min(2 * width, _SIEVE_BLOCK)
 
 
 def distinguishing_field(

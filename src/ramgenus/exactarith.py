@@ -16,25 +16,22 @@ from .errors import PrimalityRangeError, ZeroValuationError
 
 Rational = Fraction
 
-# Deterministic Miller-Rabin: this base set certifies primality for all
-# n < 3,317,044,064,679,887,385,961,981 (Sorenson-Webster).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first 13 prime bases certify primality for
+# all n < 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
+# all of them (Sorenson-Webster); without 41 the bound would be 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_LIMIT = 10**6
+# factor trial-divides up to here; larger factors are left to Brent-rho
+_TRIAL_BOUND = 1 << 11
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for 1 < n < ~3.3e24."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    if n >= _MR_LIMIT:
-        raise PrimalityRangeError(
-            f"{n} exceeds the deterministic Miller-Rabin range"
-        )
+def _mr_composite(n: int) -> bool:
+    """Does some base in _MR_BASES witness that odd n > 41 is composite?
+
+    A witness proves compositeness at any size; passing every base proves
+    primality only below _MR_LIMIT.
+    """
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -49,8 +46,26 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
+
+
+def _range_error(n: int) -> PrimalityRangeError:
+    return PrimalityRangeError(
+        f"{n} exceeds the deterministic Miller-Rabin range"
+    )
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for 1 < n < ~3.3e24."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        raise _range_error(n)
+    return not _mr_composite(n)
 
 
 def _brent_rho(n: int) -> int:
@@ -127,8 +142,11 @@ class PrimeFactorization:
 def factor(n: int) -> PrimeFactorization:
     """Factor a nonzero integer.
 
-    Trial division up to 10^6, then Brent-rho with deterministic Miller-Rabin
-    certification of every prime that is emitted.
+    Trial division up to 2^11; a larger cofactor is split by Brent-rho once
+    Miller-Rabin has proved it composite, and emitted as prime only when the
+    Miller-Rabin bases certify it. So the time grows with the second-largest
+    prime factor, not the largest, and a probable prime past ~3.3e24 raises
+    PrimalityRangeError instead of being emitted unproven.
     """
     if n == 0:
         raise ZeroValuationError("cannot factor 0")
@@ -147,23 +165,24 @@ def factor(n: int) -> PrimeFactorization:
     # wheel over residues coprime to 30
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d <= _TRIAL_LIMIT and d * d <= n:
+    while d <= _TRIAL_BOUND and d * d <= n:
         while n % d == 0:
             n //= d
             bump(d)
         d += wheel[i]
         i = (i + 1) % 8
+    # no prime below d divides what is left, so any m < d*d left is prime
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m >= d * d and _mr_composite(m):
+            g = _brent_rho(m)
+            stack.append(g)
+            stack.append(m // g)
+        elif m >= _MR_LIMIT:
+            raise _range_error(m)
+        else:
             bump(m)
-            continue
-        g = _brent_rho(m)
-        stack.append(g)
-        stack.append(m // g)
     return PrimeFactorization(sign, tuple(sorted(counts.items())))
 
 

@@ -141,17 +141,15 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _split_ints(n: int, d: int, p: int) -> tuple[int, int]:
-    vn, n0 = _strip(n, p)
-    vd, d0 = _strip(d, p)
-    return vn - vd, n0 * d0
-
-
 def _local_split(q: Fraction, p: int) -> tuple[int, int]:
     """(v_p(q), unit proxy): the proxy n*d is a p-unit integer in the same
     square class of Q_p as the unit part of q (n/d and n*d differ by d^2)."""
-    return _split_ints(q.numerator, q.denominator, p)
+    n, d = q.numerator, q.denominator
+    if n % p and d % p:
+        return 0, n * d
+    vn, n0 = _strip(n, p)
+    vd, d0 = _strip(d, p)
+    return vn - vd, n0 * d0
 
 
 def hilbert(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> int:

@@ -7,6 +7,7 @@ from ramgenus.brauerq import (
     QuadraticField,
     QuaternionQ,
     RamificationSet,
+    _squarefree_candidates,
     distinguishing_field,
     embeds,
     enumerate_unramified,
@@ -15,6 +16,7 @@ from ramgenus.brauerq import (
     ramification_set,
 )
 from ramgenus.errors import SplitAlgebraError, ZeroValuationError
+from ramgenus.exactarith import factor
 from ramgenus.localsymbols import REAL_PLACE, PlaceQ
 
 
@@ -158,6 +160,36 @@ class TestDistinguish:
                 assert ramification_set(D1) == ramification_set(D2)
             else:
                 assert embeds(field, D1) != embeds(field, D2)
+
+
+class TestSquarefreeCandidates:
+    @staticmethod
+    def by_factoring(limit):
+        """Reference definition: squarefree d by |d|, positive first."""
+        yield -1
+        for n in range(2, limit + 1):
+            if factor(n).squarefree_part() == n:
+                yield n
+                yield -n
+
+    def test_small_limits(self):
+        for limit in (1, 2, 3, 4):
+            assert list(_squarefree_candidates(limit)) == list(
+                self.by_factoring(limit)
+            )
+
+    def test_block_edges(self):
+        ref = list(self.by_factoring(10**5))
+        # sieve blocks start at 2 and double from 64 up to 2^16 wide
+        edges, lo, width = [], 2, 64
+        while lo <= 10**5:
+            edges.append(lo)
+            lo, width = lo + width, min(2 * width, 1 << 16)
+        for limit in sorted({e + k for e in edges for k in (-2, -1, 0, 1)}):
+            if limit >= 1:
+                expected = [d for d in ref if abs(d) <= limit]
+                assert list(_squarefree_candidates(limit)) == expected
+        assert list(_squarefree_candidates(10**5)) == ref
 
 
 class TestEnumerateUnramified:

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramgenus.brauerq import QuaternionQ, ramification_set
 from ramgenus.errors import PrimalityRangeError, ZeroValuationError
 from ramgenus.exactarith import (
     euler_phi,
@@ -78,6 +80,37 @@ class TestFactor:
     def test_prime_square_beyond_trial_division(self):
         p = 1_000_003
         assert factor(p * p).as_dict() == {p: 2}
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2053 * 999_983,  # both primes in (2^11, 10^6)
+            3049 * 7919,
+            1_073_741_789 * 1_073_741_827,  # both primes near 2^30
+            1_073_741_783 * 1_073_741_789 * 7,
+            2053**2,  # q^2 for a prime q in (2^11, 10^6)
+            999_983**2,
+            (2**61 - 1) * (2**31 - 1),  # composite cofactor past the MR range
+        ],
+    )
+    def test_against_sympy(self, n):
+        assert factor(n).as_dict() == sympy.factorint(n)
+
+    def test_composite_cofactor_past_mr_range_ramifies(self):
+        p, q = 2**61 - 1, 2**31 - 1
+        ram = ramification_set(QuaternionQ(p * q, 3))
+        assert {v.p for v in ram} == {q, p}
+
+    def test_unproven_prime_is_not_emitted(self):
+        with pytest.raises(PrimalityRangeError):
+            factor(2**89 - 1)
+
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        # the least strong pseudoprime to the prime bases 2..37
+        # (Sorenson-Webster); base 41 witnesses it
+        n = 318_665_857_834_031_151_167_461
+        assert not is_prime(n)
+        assert factor(n).as_dict() == sympy.factorint(n)
 
 
 class TestValuation:
