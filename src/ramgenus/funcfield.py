@@ -58,6 +58,15 @@ class FFPlace:
         return cls(pi.p if isinstance(pi, PolyFp) else 0, pi)
 
     @classmethod
+    def _from_factor(cls, pi: PolyFp | PolyQ) -> "FFPlace":
+        """The finite place of a monic irreducible that a factorizer has just
+        produced; skips the irreducibility test that the constructor runs."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "char", pi.p if isinstance(pi, PolyFp) else 0)
+        object.__setattr__(place, "pi", pi)
+        return place
+
+    @classmethod
     def infinity(cls, char: int) -> "FFPlace":
         return cls(char, None)
 
@@ -270,7 +279,7 @@ def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
         else:
             _, parts = factor_q(poly)
         for pi, mult in parts:
-            place = FFPlace.finite(pi)
+            place = FFPlace._from_factor(pi)
             vals[place] = vals.get(place, 0) + sign * mult
 
     absorb(f.num, 1)

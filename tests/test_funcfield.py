@@ -70,6 +70,27 @@ class TestPlacesOf:
             f = random_rf(rng, p)
             assert sum(v * w.degree for w, v in places_of(f)) == 0
 
+    def test_factorizer_places_skip_irreducibility_test(self, monkeypatch):
+        import ramgenus.funcfield as ff
+
+        def refuse(_):
+            raise AssertionError("irreducibility re-tested")
+
+        monkeypatch.setattr(ff, "is_irreducible_q", refuse)
+        monkeypatch.setattr(ff, "is_irreducible_fp", refuse)
+        got_q = [(str(w), v) for w, v in places_of(rf_q([-2, 0, 1], [1, 0, 1]))]
+        assert got_q == [("(x^2 - 2)", 1), ("(x^2 + 1)", -1)]
+        got_fp = [(str(w), v) for w, v in places_of(rf_fp(3, (1, 0, 1), (0, 1)))]
+        assert got_fp == [("(x)", -1), ("(x^2 + 1)", 1), ("inf", -1)]
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            FFPlace.finite(PolyQ.of([-1, 0, 1]))
+        with pytest.raises(ValueError):
+            FFPlace.finite(PolyFp.of(5, (1, 0, 1)))  # x^2 + 1 = (x - 2)(x + 2) over F_5
+        w = places_of(rf_q([1, 0, 1]))[0][0]
+        assert w == FFPlace.finite(PolyQ.of([1, 0, 1]))
+
     def test_infinity_model_valuation_matches_degree_formula(self):
         rng = random.Random(83)
         xplace3 = FFPlace.finite(PolyFp.x(3))
