@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import euler_phi, is_prime, is_rational_square
-from .gfpoly import PolyFp, is_irreducible_fp, poly_factor_fp, residue_class_is_nth_power
+from .gfpoly import (
+    PolyFp,
+    fq_inv,
+    is_irreducible_fp,
+    poly_factor_fp,
+    residue_class_is_nth_power,
+)
 from .qpoly import PolyQ, factor_q, is_irreducible_q
 
 PROVEN = "proven"
@@ -175,8 +181,9 @@ class RationalFunction:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def at_infinity_model(self) -> "RationalFunction":
@@ -197,19 +204,7 @@ class RationalFunction:
             raise ZeroValuationError("v(0) is +infinity")
         if place.is_infinite:
             return self.den.degree - self.num.degree
-        pi = place.pi
-
-        def mult(poly) -> int:
-            m = 0
-            while not poly.is_constant():
-                q, r = divmod(poly, pi)
-                if not r.is_zero():
-                    break
-                poly = q
-                m += 1
-            return m
-
-        return mult(self.num) - mult(self.den)
+        return _split_off(self.num, place.pi)[0] - _split_off(self.den, place.pi)[0]
 
     def residue_at(self, place: FFPlace):
         """The image of f in the residue field at a place where v(f) = 0.
@@ -227,11 +222,7 @@ class RationalFunction:
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
             raise ZeroValuationError(f"{self} is not a unit at {place}")
-        if isinstance(pi, PolyFp):
-            from .gfpoly import fq_inv
-
-            return n * fq_inv(d, pi) % pi
-        return n * _qpoly_inv_mod(d, pi) % pi
+        return n * _residue_inv(d, pi) % pi
 
     def __str__(self) -> str:
         if self.den.is_constant():
@@ -257,6 +248,45 @@ def _qpoly_inv_mod(a: PolyQ, pi: PolyQ) -> PolyQ:
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     return s0.scale(1 / r0.constant_value()) % pi
+
+
+def _residue_inv(a, pi):
+    return fq_inv(a, pi) if isinstance(pi, PolyFp) else _qpoly_inv_mod(a, pi)
+
+
+def _residue_pow(u, e: int, pi):
+    """u^e in k[x]/(pi) for a unit u reduced mod pi; e may be negative."""
+    if isinstance(pi, PolyFp):
+        return u.pow_mod(e, pi)
+    if e < 0:
+        u, e = _qpoly_inv_mod(u, pi), -e
+    if e == 0:
+        return PolyQ.constant(1)
+    out = u
+    for bit in bin(e)[3:]:
+        out = out * out % pi
+        if bit == "1":
+            out = out * u % pi
+    return out
+
+
+def _split_off(poly, pi) -> tuple[int, object]:
+    """(m, u mod pi) for a nonzero poly = pi^m * u with pi not dividing u."""
+    m = 0
+    while True:
+        q, r = divmod(poly, pi)
+        if not r.is_zero():
+            return m, r
+        poly, m = q, m + 1
+
+
+def _valuation_and_unit(f: RationalFunction, pi) -> tuple[int, object]:
+    """(v, u mod pi) for a nonzero f = pi^v * u with u a unit at pi."""
+    vn, n = _split_off(f.num, pi)
+    if f.den.is_constant():  # den is monic, so this is den = 1
+        return vn, n
+    vd, d = _split_off(f.den, pi)
+    return vn - vd, n * _residue_inv(d, pi) % pi
 
 
 def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
@@ -359,7 +389,12 @@ def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
 
 def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     """Residue of the symbol at w: unramified iff the tame symbol reduces to
-    an n-th power in the residue field."""
+    an n-th power in the residue field.
+
+    The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a) is formed in k[x]/(pi)
+    from the valuations v and the unit parts u of the entries at pi; it
+    equals ``tame_symbol(D, w).residue_at(w)``.
+    """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
     if w.is_infinite:
@@ -370,8 +405,12 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         return TameResidue(
             w, inner.residue_class, inner.ramified, inner.certainty, inner.witness_prime
         )
-    t = tame_symbol(D, w)
-    residue = t.residue_at(w)
+    pi = w.pi
+    va, ua = _valuation_and_unit(D.a, pi)
+    vb, ub = _valuation_and_unit(D.b, pi)
+    residue = _residue_pow(ua, vb, pi) * _residue_pow(ub, -va, pi) % pi
+    if va * vb % 2:
+        residue = -residue
     if D.char > 0:
         trivial = residue_class_is_nth_power(residue, w.pi, D.n)
         return TameResidue(w, residue, not trivial)

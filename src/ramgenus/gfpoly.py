@@ -3,6 +3,12 @@
 Polynomials are stored as tuples of coefficients in ascending degree order
 with the zero polynomial represented by the empty tuple. All values are
 immutable; every operation returns a fresh polynomial.
+
+Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
+``_add_mod``, ``_divmod_monic``, shared with the Hensel lifting in
+``qpoly``), reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
+``constant``, ``x``) check the characteristic and reduce coefficients;
+ring operations build their results with the trusted ``PolyFp._make``.
 """
 
 from __future__ import annotations
@@ -24,6 +30,79 @@ def _check_char(p: int) -> None:
         _KNOWN_PRIMES.add(p)
 
 
+# -- int-list kernel ----------------------------------------------------------
+#
+# Polynomials below are lists of ints, ascending; results are trimmed of
+# trailing zeros and reduced into [0, m) for the modulus m (a prime p, or
+# p^k during Hensel lifting).
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The product in Z[x], unreduced (empty if either factor is)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    return _trim([c % m for c in _mul(a, b)])
+
+
+def _add_mod(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    """a + sign*b mod m."""
+    n = max(len(a), len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
+    return _trim([(x + sign * y) % m for x, y in zip(a, b)])
+
+
+def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Division with remainder mod m by a monic b; a need not be reduced."""
+    db = len(b) - 1
+    rem = list(a)
+    q = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % m
+        if c:
+            q[i - db] = c
+            for j, y in enumerate(b):
+                rem[i - db + j] -= c * y
+    return _trim(q), _trim([c % m for c in rem[:db]])
+
+
+def _monic_coeffs(f: "PolyFp") -> list[int]:
+    """The coefficients of f scaled to be monic; f nonzero."""
+    lead = f.coeffs[-1]
+    if lead == 1:
+        return list(f.coeffs)
+    inv = pow(lead, -1, f.p)
+    return [c * inv % f.p for c in f.coeffs]
+
+
+def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod (f, p) for e >= 1 and a monic f, left to right: every step
+    squares, then multiplies by a when the exponent bit is set, so no
+    squaring follows the last bit."""
+    base = _divmod_monic(a, f, p)[1]
+    out = base
+    for bit in bin(e)[3:]:
+        out = _divmod_monic(_mul(out, out), f, p)[1]
+        if bit == "1":
+            out = _divmod_monic(_mul(out, base), f, p)[1]
+    return out
+
+
 @dataclass(frozen=True)
 class PolyFp:
     """A polynomial over F_p: coefficients ascending, trailing zeros stripped."""
@@ -37,6 +116,15 @@ class PolyFp:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
+
+    @classmethod
+    def _make(cls, p: int, coeffs) -> "PolyFp":
+        """Trusted constructor for kernel results: p is a known prime and the
+        coefficients are already reduced into [0, p) and trimmed."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "p", p)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
 
     # -- construction helpers ------------------------------------------------
 
@@ -84,48 +172,37 @@ class PolyFp:
 
     def __add__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyFp(self.p, tuple((x + y) % self.p for x, y in zip(a, b)))
+        return PolyFp._make(self.p, _add_mod(self.coeffs, other.coeffs, self.p))
 
     def __neg__(self) -> "PolyFp":
-        return PolyFp(self.p, tuple(-c % self.p for c in self.coeffs))
+        return PolyFp._make(self.p, [-c % self.p for c in self.coeffs])
 
     def __sub__(self, other: "PolyFp") -> "PolyFp":
-        return self + (-other)
+        self._check(other)
+        return PolyFp._make(self.p, _add_mod(self.coeffs, other.coeffs, self.p, -1))
 
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return PolyFp(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyFp(self.p, tuple(out))
+        return PolyFp._make(self.p, _mul_mod(self.coeffs, other.coeffs, self.p))
 
     def scale(self, c: int) -> "PolyFp":
-        return PolyFp(self.p, tuple(a * c % self.p for a in self.coeffs))
+        p = self.p
+        c %= p
+        if not c:
+            return PolyFp._make(p, ())
+        return PolyFp._make(p, [a * c % p for a in self.coeffs])
 
     def __divmod__(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
-        rem = list(self.coeffs)
-        dlead_inv = pow(other.leading(), -1, p)
-        dq = other.degree
-        q = [0] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] * dlead_inv % p
-            if c:
-                q[i - dq] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dq + j] = (rem[i - dq + j] - c * b) % p
-        return PolyFp(p, tuple(q)), PolyFp(p, tuple(rem))
+        lead = other.coeffs[-1]
+        q, r = _divmod_monic(self.coeffs, _monic_coeffs(other), p)
+        if lead != 1:
+            inv = pow(lead, -1, p)
+            q = [c * inv % p for c in q]
+        return PolyFp._make(p, q), PolyFp._make(p, r)
 
     def __floordiv__(self, other: "PolyFp") -> "PolyFp":
         return divmod(self, other)[0]
@@ -136,7 +213,7 @@ class PolyFp:
     def monic(self) -> "PolyFp":
         if self.is_zero():
             return self
-        return self.scale(pow(self.leading(), -1, self.p))
+        return PolyFp._make(self.p, _monic_coeffs(self))
 
     def gcd(self, other: "PolyFp") -> "PolyFp":
         a, b = self, other
@@ -145,9 +222,8 @@ class PolyFp:
         return a.monic()
 
     def derivative(self) -> "PolyFp":
-        return PolyFp(
-            self.p, tuple(i * c % self.p for i, c in enumerate(self.coeffs) if i)
-        )
+        p = self.p
+        return PolyFp._make(p, _trim([i * c % p for i, c in enumerate(self.coeffs) if i]))
 
     def evaluate(self, x0: int) -> int:
         acc = 0
@@ -157,19 +233,17 @@ class PolyFp:
 
     def reverse(self) -> "PolyFp":
         """x^deg * f(1/x): the coefficient list reversed."""
-        return PolyFp(self.p, tuple(reversed(self.coeffs)))
+        return PolyFp._make(self.p, _trim(list(reversed(self.coeffs))))
 
     def pow_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
         if e < 0:
             return fq_inv(self.pow_mod(-e, modulus), modulus)
-        base = self % modulus
-        result = PolyFp.constant(self.p, 1)
-        while e:
-            if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
-            e >>= 1
-        return result
+        self._check(modulus)
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if e == 0:
+            return PolyFp._make(self.p, (1,))
+        return PolyFp._make(self.p, _pow_mod(self.coeffs, e, _monic_coeffs(modulus), self.p))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -349,34 +423,23 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
 
 
 def is_irreducible_fp(f: PolyFp) -> bool:
-    """Rabin's irreducibility test for a nonconstant polynomial over F_p."""
+    """Ben-Or's irreducibility test for a nonconstant polynomial over F_p.
+
+    A reducible f of degree n has an irreducible factor of some degree
+    i <= n/2, which divides x^(p^i) - x; so f is irreducible exactly when
+    gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2. The test stops at the first
+    nontrivial gcd.
+    """
     if f.degree < 1:
         return False
     if f.degree == 1:
         return True
-    p, n = f.p, f.degree
-    x = PolyFp.x(p)
-    # x^(p^n) = x mod f, and gcd(x^(p^(n/q)) - x, f) = 1 for prime q | n
-    h = x
-    powers = {}
-    for i in range(1, n + 1):
-        h = h.pow_mod(p, f)
-        powers[i] = h
-    if powers[n] != x % f:
-        return False
-    m = n
-    qs = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            qs.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        qs.add(m)
-    for q in qs:
-        if not f.gcd(powers[n // q] - x).is_constant():
+    p = f.p
+    m = _monic_coeffs(f)
+    h = [0, 1]
+    for _ in range(f.degree // 2):
+        h = _pow_mod(h, p, m, p)
+        if not f.gcd(PolyFp._make(p, _add_mod(h, [0, 1], p, -1))).is_constant():
             return False
     return True
 

@@ -19,7 +19,7 @@ from math import gcd as int_gcd
 
 from .errors import ZeroValuationError
 from .exactarith import is_prime
-from .gfpoly import PolyFp, fq_inv, poly_factor_fp
+from .gfpoly import PolyFp, _add_mod, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
 
 
 @dataclass(frozen=True)
@@ -190,44 +190,9 @@ class PolyQ:
 # -- factorization in Z[x] ----------------------------------------------------
 #
 # Integer polynomials below are lists of ints, ascending and without trailing
-# zeros; "mod m" results are reduced into [0, m).
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % m for c in out])
-
-
-def _add_mod(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
-    """a + sign*b mod m."""
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _trim([(x + sign * y) % m for x, y in zip(a, b)])
-
-
-def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division with remainder mod m by a monic b."""
-    db = len(b) - 1
-    rem = list(a)
-    q = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
-        if c:
-            q[i - db] = c
-            for j, y in enumerate(b):
-                rem[i - db + j] -= c * y
-    return _trim(q), _trim([c % m for c in rem[:db]])
+# zeros; "mod m" results are reduced into [0, m). The list kernel
+# (``_mul_mod``, ``_add_mod``, ``_divmod_monic``) is gfpoly's, used here
+# mod p^k.
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:

@@ -100,6 +100,23 @@ class TestPlacesOf:
             assert model.valuation_at(xplace3) == f.den.degree - f.num.degree
 
 
+class TestRationalFunction:
+    def test_pow_matches_repeated_products(self):
+        rng = random.Random(113)
+        cases = [random_rf(rng, 5, 2) for _ in range(6)]
+        cases += [rf_q([1, -2, 3], [2, 0, 1]), rf_q([Fraction(1, 2), 1], [-1, 1]), rf_q([-3])]
+        for f in cases:
+            one = f * f.inverse()
+            power = one
+            for e in range(6):
+                assert f.pow(e) == power
+                power = power * f
+            power = one
+            for e in range(4):
+                assert f.pow(-e) == power
+                power = power * f.inverse()
+
+
 class TestTameResidue:
     def test_x_x_at_x_over_f3(self):
         D = SymbolAlgebraFF(2, rf_fp(3, (0, 1)), rf_fp(3, (0, 1)))
@@ -145,6 +162,63 @@ class TestTameResidue:
                 pi = w.pi
                 ratio = r12 * fq_inv(r1 * r2 % pi, pi) % pi
                 assert residue_class_is_nth_power(ratio, pi, 2)
+
+
+def _residue_reference(D, w):
+    t = tame_symbol(D, w)
+    if w.is_infinite:
+        # tame_symbol already works in the x -> 1/x model there
+        w = FFPlace.finite(PolyFp.x(D.char) if D.char else PolyQ.x())
+    return t.residue_at(w)
+
+
+def _check_direct_residues(D, seen):
+    """tame_residue's class equals the reference at every candidate place;
+    records the valuation patterns covered in ``seen``."""
+    places = {w for w, _ in places_of(D.a)} | {w for w, _ in places_of(D.b)}
+    places.add(FFPlace.infinity(D.char))
+    for w in places:
+        got = tame_residue(D, w).residue_class
+        want = _residue_reference(D, w)
+        if D.char == 0 and w.degree == 1:
+            want = want.constant_value()  # residue field Q: a rational
+        assert got == want, (str(D), str(w))
+        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
+        seen["negative"] |= va < 0 or vb < 0
+        seen["both"] |= va != 0 and vb != 0
+        seen["high"] |= max(abs(va), abs(vb)) >= 3
+
+
+class TestDirectResidue:
+    """tame_residue forms the residue in k[x]/(pi); the tame symbol built in
+    k(x) and reduced at the place is the reference."""
+
+    def test_against_tame_symbol_over_fp(self):
+        rng = random.Random(127)
+        seen = dict.fromkeys(("negative", "both", "high"), False)
+        for _ in range(60):
+            p = rng.choice([3, 5, 7])
+            n = rng.choice([2, 3]) if p != 3 else 2
+            pi = RationalFunction.of(rng.choice(irreducible_monics(p, 2)))
+            a = random_rf(rng, p, 2) * pi.pow(rng.randint(-4, 4))
+            b = random_rf(rng, p, 2) * pi.pow(rng.randint(-4, 4))
+            _check_direct_residues(SymbolAlgebraFF(n, a, b), seen)
+        assert all(seen.values())
+
+    def test_against_tame_symbol_over_q(self):
+        rng = random.Random(131)
+        pis = [rf_q(c) for c in ([0, 1], [1, 1], [-2, 1], [1, 0, 1], [-2, 0, 1], [1, 1, 1])]
+        seen = dict.fromkeys(("negative", "both", "high"), False)
+        for _ in range(25):
+            def entry():
+                num = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                den = [rng.randint(-3, 3) for _ in range(rng.randint(1, 2))]
+                if not any(num) or not any(den):
+                    return entry()
+                return rf_q(num, den) * rng.choice(pis).pow(rng.randint(-3, 3))
+
+            _check_direct_residues(SymbolAlgebraFF(2, entry(), entry()), seen)
+        assert all(seen.values())
 
 
 class TestRamV:

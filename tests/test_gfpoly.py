@@ -59,6 +59,56 @@ class TestArithmetic:
         f = PolyFp.of(3, (2, 0, 1))
         assert str(f) == "x^2 + 2"
 
+    def test_pow_mod_against_repeated_products(self):
+        # the modulus need not be monic: its remainders are those of its
+        # monic associate
+        rng = random.Random(29)
+        for _ in range(150):
+            p = rng.choice([2, 3, 5, 7, 10007])
+            f = random_poly(rng, p, 5)
+            modulus = random_poly(rng, p, 4)
+            if modulus.is_constant():
+                continue
+            power = PolyFp.constant(p, 1)
+            for e in range(8):
+                got = f.pow_mod(e, modulus)
+                assert got == (power if e == 0 else power % modulus)
+                power = power * f
+
+
+class TestPublicConstructor:
+    def test_validates_and_reduces(self):
+        with pytest.raises(ValueError):
+            PolyFp(6, (1,))
+        assert PolyFp(5, (7, 5, 0)).coeffs == (2,)
+        assert PolyFp.of(5, [0, 5, 10]).coeffs == ()
+
+    def test_kernel_results_equal_public_ones(self):
+        # results built by the trusted constructor compare and hash like
+        # the same polynomial built through the public one
+        p = 7
+        f, g = PolyFp.of(p, (3, 0, 5, 1)), PolyFp.of(p, (2, 6, 1))
+        results = [
+            f.pow_mod(9, g),
+            divmod(f, g)[0],
+            divmod(f, g)[1],
+            f * g,
+            f + g,
+            f - f,
+            -f,
+            f.scale(3),
+            f.monic(),
+            f.gcd(g),
+            f.derivative(),
+            f.reverse(),
+        ]
+        for r in results:
+            assert type(r.coeffs) is tuple
+            public = PolyFp(p, tuple(r.coeffs))
+            assert r == public and hash(r) == hash(public)
+            assert all(0 <= c < p for c in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+
 
 class TestFactor:
     def test_x_squared_minus_one_f3(self):
@@ -124,11 +174,40 @@ class TestIrreducibility:
                     continue
                 assert is_irreducible_fp(f) == brute_is_irreducible(f)
 
+    def test_products_of_two_half_degree_irreducibles(self):
+        # g^2 and g*h with g, h irreducible of degree n/2 have no factor of
+        # lower degree, so only the last gcd of the test can reject them
+        rng = random.Random(31)
+        for p, n in ((2, 4), (3, 4), (5, 4), (2, 6), (3, 6)):
+            half = [f for f in irreducible_monics(p, n // 2) if f.degree == n // 2]
+            for _ in range(4):
+                g, h = rng.choice(half), rng.choice(half)
+                for f in (g * g, g * h):
+                    lead = rng.randrange(1, p)
+                    for poly in (f, f.scale(lead)):
+                        assert poly.degree == n
+                        assert not brute_is_irreducible(poly)
+                        assert not is_irreducible_fp(poly)
+
     def test_counts(self):
-        # #monic irreducibles of degree 2 over F_p is p(p-1)/2
-        for p in (3, 5, 7):
-            quadratics = [f for f in irreducible_monics(p, 2) if f.degree == 2]
-            assert len(quadratics) == p * (p - 1) // 2
+        # Gauss: #monic irreducibles of degree n over F_p is
+        # (1/n) sum_{d | n} mu(d) p^(n/d)
+        def mobius(d):
+            out, q = 1, 2
+            while d > 1:
+                if d % q == 0:
+                    d //= q
+                    if d % q == 0:
+                        return 0
+                    out = -out
+                q += 1
+            return out
+
+        for p, top in ((2, 8), (3, 6), (5, 4), (7, 3)):
+            found = irreducible_monics(p, top)
+            for n in range(1, top + 1):
+                expected = sum(mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+                assert sum(1 for f in found if f.degree == n) == expected
 
 
 class TestResidueField:
