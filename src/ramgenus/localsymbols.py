@@ -211,6 +211,12 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 # that never reach the criterion die out by level k because some coordinate of
 # a primitive triple is a unit, which caps e at v(2) + max(v(a), v(b)).
 #
+# Scaling a triple by a unit changes neither f = 0 mod p^j nor the gradient
+# valuations, so the search keeps one triple per scaling class, the one whose
+# first unit coordinate is 1 (the coordinates before it are multiples of p).
+# Its lifts keep that coordinate at 1 and lift the other two, so level 1 visits
+# p^2 + p + 1 triples and each later level p^2 per frontier triple, not p^3.
+#
 # Entry normalization uses only square scalings of the variables (x -> x/t),
 # which are elementary substitutions: replacing a by a * t^2 (clearing the
 # denominator, dropping even powers of p) cannot change solvability. Units
@@ -235,6 +241,17 @@ def _hensel_accepts(
     return fval % modulus == 0 and 2 * e + 1 <= level
 
 
+def _projective_points(p: int):
+    """One triple per point of the projective plane over F_p, the one whose
+    first nonzero coordinate is 1."""
+    for y in range(p):
+        for z in range(p):
+            yield 1, y, z
+    for z in range(p):
+        yield 0, 1, z
+    yield 0, 0, 1
+
+
 @functools.lru_cache(maxsize=None)
 def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int, k: int) -> int:
     a = p**va * ua
@@ -243,58 +260,41 @@ def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int, k: int) -> int:
     def f(x: int, y: int, z: int) -> int:
         return a * x * x + b * y * y - z * z
 
-    frontier: set[tuple[int, int, int]] = set()
+    frontier: list[tuple[int, int, int]] = []
+    for x, y, z in _projective_points(p):
+        val = f(x, y, z)
+        if val % p:
+            continue
+        if _hensel_accepts(val, (2 * a * x, 2 * b * y, -2 * z), p, 1, p):
+            return 1
+        frontier.append((x, y, z))
     modulus = p
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                if x == 0 and y == 0 and z == 0:
-                    continue
-                if f(x, y, z) % p:
-                    continue
-                if _hensel_accepts(
-                    f(x, y, z), (2 * a * x, 2 * b * y, -2 * z), p, 1, p
-                ):
-                    return 1
-                frontier.add(_projective_normalize(x, y, z, p, p))
     for level in range(2, k + 1):
+        step = modulus
         modulus *= p
-        step = modulus // p
-        nxt: set[tuple[int, int, int]] = set()
-        for x0, y0, z0 in frontier:
-            for dx in range(p):
-                x = x0 + dx * step
-                for dy in range(p):
-                    y = y0 + dy * step
-                    for dz in range(p):
-                        z = z0 + dz * step
-                        val = f(x, y, z)
-                        if val % modulus:
-                            continue
-                        if _hensel_accepts(
-                            val, (2 * a * x, 2 * b * y, -2 * z), p, level, modulus
-                        ):
-                            return 1
-                        nxt.add(_projective_normalize(x, y, z, p, modulus))
+        nxt: list[tuple[int, int, int]] = []
+        for point in frontier:
+            i, j = (n for n in range(3) if n != point.index(1))  # the coordinates to lift
+            for di in range(p):
+                for dj in range(p):
+                    lift = list(point)
+                    lift[i] += di * step
+                    lift[j] += dj * step
+                    x, y, z = lift
+                    val = f(x, y, z)
+                    if val % modulus:
+                        continue
+                    if _hensel_accepts(
+                        val, (2 * a * x, 2 * b * y, -2 * z), p, level, modulus
+                    ):
+                        return 1
+                    nxt.append((x, y, z))
         if not nxt:
             return -1
         frontier = nxt
     if frontier:  # pragma: no cover - cannot happen if k >= 2*e_max + 1
         raise ArithmeticError("oracle search did not converge")
     return -1
-
-
-def _projective_normalize(
-    x: int, y: int, z: int, p: int, modulus: int
-) -> tuple[int, int, int]:
-    """Scale a primitive triple by a unit so the first unit coordinate is 1;
-    the equation and gradient valuations are unchanged, and this keeps the
-    search frontier small."""
-    for c in (x, y, z):
-        if c % p:
-            inv = pow(c, -1, modulus)
-            return (x * inv % modulus, y * inv % modulus, z * inv % modulus)
-    return (x % modulus, y % modulus, z % modulus)
 
 
 _ORACLE_PRIMES: set[int] = set()

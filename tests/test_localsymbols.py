@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from ramgenus.localsymbols import (
     REAL_PLACE,
     LocalInvariant,
     PlaceQ,
+    _projective_points,
     hilbert,
     hilbert_oracle,
     invariant,
@@ -183,6 +185,28 @@ class TestOracle:
         for a in vals:
             for b in vals:
                 assert hilbert_oracle(a, b, 2, allow_dyadic=True) == hilbert(a, b, v)
+
+    def test_projective_points_one_per_scaling_class(self):
+        for p in (2, 3, 5, 7):
+            points = list(_projective_points(p))
+            assert len(set(points)) == len(points) == p * p + p + 1
+            for t in itertools.product(range(p), repeat=3):
+                if any(t):
+                    hits = [q for q in points
+                            if any(tuple(u * c % p for c in q) == t for u in range(1, p))]
+                    assert len(hits) == 1, (p, t)
+
+    def test_agreement_at_large_primes(self):
+        # (a, p) with a a nonresidue is -1: the search then runs to level 2
+        for p in (101, 151, 307):
+            v = PlaceQ.finite(p)
+            seen = set()
+            for a in (-1, 2, -2, 3, 5, 6, 7):
+                for b in (p, -2 * p, 3, Fraction(1, p)):
+                    got = hilbert_oracle(a, b, p)
+                    assert got == hilbert(a, b, v), (a, b, p)
+                    seen.add(got)
+            assert seen == {1, -1}
 
 
 class TestInvariant:
