@@ -443,15 +443,14 @@ def _decide_square_over_q(
         q = _next_prime(q)
         try:
             pi_q = pi.reduce_mod(q)
+            if pi_q.degree != pi.degree or not is_irreducible_fp(pi_q):
+                continue
             res_q = residue.reduce_mod(q)
         except ZeroDivisionError:
             continue
-        if pi_q.degree != pi.degree or not is_irreducible_fp(pi_q):
-            continue
         if (res_q % pi_q).is_zero():
             continue
-        size = q**pi_q.degree
-        if res_q.pow_mod((size - 1) // 2, pi_q) != PolyFp.constant(q, 1):
+        if not residue_class_is_nth_power(res_q, pi_q, 2):
             return TameResidue(w, residue, True, PROVEN, q)
         squares_seen += 1
         if squares_seen >= prime_count:

@@ -9,6 +9,12 @@ Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``qpoly``), reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
 ``constant``, ``x``) check the characteristic and reduce coefficients;
 ring operations build their results with the trusted ``PolyFp._make``.
+
+Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
+by Euclid (``_norm``), whenever the class-group order divides p - 1; every
+n = 2 test does. For odd p, ``is_irreducible_fp`` rejects most reducible
+polynomials by the Legendre symbol of the discriminant (Stickelberger)
+before Ben-Or's test.
 """
 
 from __future__ import annotations
@@ -88,6 +94,25 @@ def _monic_coeffs(f: "PolyFp") -> list[int]:
         return list(f.coeffs)
     inv = pow(lead, -1, f.p)
     return [c * inv % f.p for c in f.coeffs]
+
+
+def _norm(f: list[int], g, p: int) -> int:
+    """The product of g over the roots of a monic f, mod p: the resultant
+    Res(f, g), by Euclid in O(deg f * deg g) (Cohen, section 3.3). Each step
+    uses Res(f, g) = Res(f, g mod f) and, for r = g mod f of degree k with
+    leading coefficient c, Res(f, r) = (-1)^(deg f * k) c^(deg f) Res(r/c, f)."""
+    out = 1
+    while len(f) > 1:
+        r = _divmod_monic(g, f, p)[1]
+        if not r:
+            return 0
+        m, k, c = len(f) - 1, len(r) - 1, r[-1]
+        out = out * pow(c, m, p) % p
+        if m * k % 2:
+            out = -out % p
+        inv = pow(c, -1, p)
+        f, g = [x * inv % p for x in r], f
+    return out
 
 
 def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
@@ -286,7 +311,8 @@ def fq_inv(a: PolyFp, pi: PolyFp) -> PolyFp:
 
 def is_square_fq(r: PolyFp, pi: PolyFp) -> bool:
     """Is r a square in the residue field F_p[x]/(pi)?  Euler criterion
-    r^((q-1)/2) = 1 with q = p^deg(pi); odd p only."""
+    r^((q-1)/2) = 1 with q = p^deg(pi), which is N(r)^((p-1)/2) = 1 for
+    the norm N(r) in F_p (see ``residue_class_is_nth_power``); odd p only."""
     p = r.p
     if p == 2:
         raise UnsupportedFieldError("square test in characteristic 2 is out of scope")
@@ -294,22 +320,26 @@ def is_square_fq(r: PolyFp, pi: PolyFp) -> bool:
         raise ValueError("modulus must be a monic irreducible polynomial")
     if (r % pi).is_zero():
         raise ZeroValuationError("square test of 0 in the residue field")
-    q = p**pi.degree
-    return r.pow_mod((q - 1) // 2, pi) == PolyFp.constant(p, 1)
+    return residue_class_is_nth_power(r, pi, 2)
 
 
 def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
-    """Is r an n-th power in F_q^x, q = p^deg(pi)?
+    """Is r an n-th power in F_q^x, q = p^deg(pi), for an irreducible pi?
 
     The n-th power subgroup has index g = gcd(n, q-1), so the test is
     r^((q-1)/g) = 1; this also handles g < n correctly (the class group
-    F_q^x / (F_q^x)^n is cyclic of order g).
+    F_q^x / (F_q^x)^n is cyclic of order g). When g divides p-1 (every
+    n = 2 test with p odd), (q-1)/g = (1 + p + ... + p^(d-1)) (p-1)/g and
+    r^(1 + p + ... + p^(d-1)) is the norm N(r) in F_p, the product of r over
+    the roots of pi; so the test is N(r)^((p-1)/g) = 1 in F_p.
     """
     p = r.p
     if (r % pi).is_zero():
         raise ZeroValuationError("power-class test of 0 in the residue field")
     q = p**pi.degree
     g = int_gcd(n, q - 1)
+    if (p - 1) % g == 0:
+        return pow(_norm(_monic_coeffs(pi), r.coeffs, p), (p - 1) // g, p) == 1
     return r.pow_mod((q - 1) // g, pi) == PolyFp.constant(p, 1)
 
 
@@ -423,21 +453,35 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
 
 
 def is_irreducible_fp(f: PolyFp) -> bool:
-    """Ben-Or's irreducibility test for a nonconstant polynomial over F_p.
+    """Ben-Or's irreducibility test for a nonconstant polynomial over F_p,
+    behind a discriminant pre-filter for odd p.
 
-    A reducible f of degree n has an irreducible factor of some degree
-    i <= n/2, which divides x^(p^i) - x; so f is irreducible exactly when
-    gcd(x^(p^i) - x, f) = 1 for i = 1 .. n/2. The test stops at the first
-    nontrivial gcd.
+    Stickelberger (Swan 1962): a squarefree f of degree n over F_p, p odd,
+    with r irreducible factors has (disc f / p) = (-1)^(n - r). So an
+    irreducible f has a nonzero discriminant whose Legendre symbol is
+    (-1)^(n-1); any other f is rejected after one resultant,
+    disc f = (-1)^(n(n-1)/2) Res(f, f') for monic f. The filter only
+    rejects. What it lets through goes to Ben-Or: a reducible f of degree n
+    has an irreducible factor of some degree i <= n/2, which divides
+    x^(p^i) - x; so f is irreducible exactly when gcd(x^(p^i) - x, f) = 1
+    for i = 1 .. n/2. The test stops at the first nontrivial gcd.
     """
-    if f.degree < 1:
+    n = f.degree
+    if n < 1:
         return False
-    if f.degree == 1:
+    if n == 1:
         return True
     p = f.p
-    m = _monic_coeffs(f)
+    monic = f.monic()
+    m = monic.coeffs
+    if p != 2:
+        disc = _norm(m, monic.derivative().coeffs, p)
+        if n * (n - 1) // 2 % 2:
+            disc = -disc % p
+        if disc == 0 or pow(disc, (p - 1) // 2, p) != (1 if n % 2 else p - 1):
+            return False
     h = [0, 1]
-    for _ in range(f.degree // 2):
+    for _ in range(n // 2):
         h = _pow_mod(h, p, m, p)
         if not f.gcd(PolyFp._make(p, _add_mod(h, [0, 1], p, -1))).is_constant():
             return False

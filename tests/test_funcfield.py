@@ -305,7 +305,7 @@ class TestRamVOverQ:
         out = {str(r.place): r for r in ram_V_over_Q(D)}
         res = out["(x^2 - 2)"]
         assert res.ramified is True and res.certainty == PROVEN
-        assert res.witness_prime is not None
+        assert res.witness_prime == 5
 
     def test_unresolved_square(self):
         # (2, x^2 - 2) at (x^2 - 2): residue 2 = (sqrt 2)^2 is an actual
@@ -315,6 +315,16 @@ class TestRamVOverQ:
         out = {str(r.place): r for r in ram_V_over_Q(D)}
         res = out["(x^2 - 2)"]
         assert res.ramified is None and res.certainty == UNRESOLVED
+
+    def test_x4_plus_1_unresolved(self):
+        # x^4 + 1 is reducible modulo every prime, so no q is good and the
+        # scan ends without a witness
+        D = SymbolAlgebraFF(2, rf_q([3]), rf_q([1, 0, 0, 0, 1]))
+        out = {str(r.place): r for r in ram_V_over_Q(D)}
+        assert sorted(out) == ["(x^4 + 1)"]
+        res = out["(x^4 + 1)"]
+        assert res.ramified is None and res.certainty == UNRESOLVED
+        assert res.witness_prime is None
 
     def test_rejects_higher_degree_symbols(self):
         x = rf_q([0, 1])

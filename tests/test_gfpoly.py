@@ -1,10 +1,12 @@
 import random
+from math import gcd
 
 import pytest
 
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.gfpoly import (
     PolyFp,
+    _norm,
     fq_inv,
     irreducible_monics,
     is_irreducible_fp,
@@ -24,6 +26,17 @@ def brute_is_irreducible(f: PolyFp) -> bool:
             if (f % g).is_zero():
                 return False
     return True
+
+
+def factored_irreducible(f: PolyFp) -> bool:
+    """Reference: f factors as one irreducible of multiplicity 1."""
+    parts = poly_factor_fp(f)
+    return len(parts) == 1 and parts[0][1] == 1
+
+
+def random_of_degree(rng, p, deg):
+    """A random polynomial of exactly this degree, not necessarily monic."""
+    return PolyFp(p, tuple(rng.randrange(p) for _ in range(deg)) + (rng.randrange(1, p),))
 
 
 def random_poly(rng, p, max_deg, nonzero=True):
@@ -189,6 +202,20 @@ class TestIrreducibility:
                         assert not brute_is_irreducible(poly)
                         assert not is_irreducible_fp(poly)
 
+    def test_against_factorization_at_large_p(self):
+        # p = 10007 is 3 mod 4, so -1 is a nonsquare and the sign
+        # (-1)^(n(n-1)/2) of the discriminant decides degrees 2, 3, 6, 7, 10;
+        # both verdicts occur at every degree
+        rng = random.Random(37)
+        for p in (101, 10007):
+            for deg in range(2, 11):
+                seen = {True: 0, False: 0}
+                while min(seen.values()) < 3:
+                    f = random_of_degree(rng, p, deg)
+                    expected = factored_irreducible(f)
+                    assert is_irreducible_fp(f) == expected
+                    seen[expected] += 1
+
     def test_counts(self):
         # Gauss: #monic irreducibles of degree n over F_p is
         # (1/n) sum_{d | n} mu(d) p^(n/d)
@@ -254,6 +281,49 @@ class TestResidueField:
             squares = {(e * e % pi).coeffs for e in elements}
             for e in elements:
                 assert is_square_fq(e, pi) == ((e % pi).coeffs in squares)
+
+    def test_norm_is_product_over_roots(self):
+        # f splits into distinct linear factors, so the product of g over
+        # its roots is a product of values
+        rng = random.Random(41)
+        for _ in range(200):
+            p = rng.choice([2, 3, 7, 101])
+            roots = rng.sample(range(p), rng.randint(0, min(p, 5)))
+            f = PolyFp.constant(p, 1)
+            for a in roots:
+                f = f * PolyFp.of(p, (-a, 1))
+            g = random_poly(rng, p, 6, nonzero=False)
+            expected = 1
+            for a in roots:
+                expected = expected * g.evaluate(a) % p
+            assert _norm(f.coeffs, g.coeffs, p) == expected
+
+    def test_nth_power_against_exponent_reference(self):
+        # r^((q-1)/g) = 1 with g = gcd(n, q-1), over monic and non-monic
+        # irreducible moduli; both the norm branch (g | p-1) and the
+        # exponentiation branch (g not dividing p-1) occur
+        rng = random.Random(43)
+        branches = {True: 0, False: 0}
+        for p in (3, 5, 7, 13, 31, 101):
+            for deg in range(1, 7):
+                moduli = []
+                while len(moduli) < 2:
+                    f = random_of_degree(rng, p, deg)
+                    if factored_irreducible(f):
+                        moduli.append(f)
+                moduli.append(moduli[0].monic())
+                for pi in moduli:
+                    q = p**deg
+                    for _ in range(4):
+                        r = random_poly(rng, p, 2 * deg)
+                        if (r % pi).is_zero():
+                            continue
+                        for n in range(2, 7):
+                            g = gcd(n, q - 1)
+                            branches[(p - 1) % g == 0] += 1
+                            expected = r.pow_mod((q - 1) // g, pi) == PolyFp.constant(p, 1)
+                            assert residue_class_is_nth_power(r, pi, n) == expected
+        assert min(branches.values()) > 100
 
     def test_nth_power_class_gcd_handling(self):
         # q = 7: cubes have index gcd(3, 6) = 3; 2 generates the cubes? 2^2=4, 2^3=1
