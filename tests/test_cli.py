@@ -6,6 +6,7 @@ import pytest
 from ramgenus.brauerq import QuaternionQ
 from ramgenus.cli import (
     EXIT_OK,
+    EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_UNRESOLVED,
@@ -19,7 +20,7 @@ from ramgenus.cli import (
 )
 from ramgenus.errors import ParseError
 from ramgenus.funcfield import SymbolAlgebraFF
-from ramgenus.localsymbols import REAL_PLACE, PlaceQ
+from ramgenus.localsymbols import REAL_PLACE, PlaceQ, hilbert
 
 
 class TestParsing:
@@ -195,6 +196,30 @@ class TestMainExitCodes:
             main(["frobnicate", "(-1,3)"])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err.lower()
+
+
+class TestOracleMismatch:
+    """Exit 5 on both oracle paths, with the search oracle made to disagree
+    with the closed-form symbol at every finite place."""
+
+    @pytest.fixture(autouse=True)
+    def negated_oracle(self, monkeypatch):
+        def oracle(a, b, p, allow_dyadic=False):
+            return -hilbert(a, b, PlaceQ.finite(p))
+
+        monkeypatch.setattr("ramgenus.cli.hilbert_oracle", oracle)
+
+    def test_ramify_oracle(self, capsys):
+        assert main(["ramify", "(-1,3)", "--oracle"]) == EXIT_ORACLE_MISMATCH
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "oracle mismatch:" in err
+
+    def test_oracle_check(self, capsys):
+        argv = ["oracle-check", "(-1,3)", "--format", "structured"]
+        assert main(argv) == EXIT_ORACLE_MISMATCH
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["result"]["mismatches"] == 2  # places 2 and 3; inf is a sign test
 
 
 class TestStructuredOutput:
