@@ -21,6 +21,7 @@ from fractions import Fraction
 from .brauerq import (
     QuadraticField,
     QuaternionQ,
+    candidate_places,
     distinguishing_field,
     embeds,
     enumerate_unramified,
@@ -425,27 +426,45 @@ _TAME_RULE = (
 )
 
 
-def _oracle_crosscheck(D: QuaternionQ) -> None:
-    from .brauerq import candidate_places
+def _quaternion(text: str, command: str) -> QuaternionQ:
+    D = parse_algebra(text)
+    if not isinstance(D, QuaternionQ):
+        raise ParseError(f"{command} expects a quaternion algebra over Q", text, 0)
+    return D
 
-    for v in candidate_places(D):
+
+def _symbol(text: str, command: str) -> SymbolAlgebraFF:
+    D = parse_algebra(text)
+    if not isinstance(D, SymbolAlgebraFF):
+        raise ParseError(
+            f"{command} expects a symbol algebra (f, g; n=N, k=FP|Q)", text, 0
+        )
+    return D
+
+
+def _oracle_rows(D: QuaternionQ, places):
+    """Yield, place by place, the closed-form symbol next to the search
+    oracle's answer (the sign test at the real place)."""
+    for v in places:
         expected = hilbert(D.a, D.b, v)
         if v.is_infinite:
             got = -1 if D.a < 0 and D.b < 0 else 1
+            route = "sign test"
         else:
             got = hilbert_oracle(D.a, D.b, v.p, allow_dyadic=(v.p == 2))
-        if got != expected:
-            raise OracleMismatchError(
-                f"hilbert={expected} but oracle={got} at place {v} for {D}"
-            )
+            route = "mod p^k search with Hensel lifting"
+        yield {"place": str(v), "hilbert": expected, "oracle": got, "route": route}
 
 
 def _cmd_ramify(args) -> Report:
-    D = parse_algebra(args.algebra)
-    if not isinstance(D, QuaternionQ):
-        raise ParseError("ramify expects a quaternion algebra over Q", args.algebra, 0)
+    D = _quaternion(args.algebra, "ramify")
     if args.oracle:
-        _oracle_crosscheck(D)
+        for row in _oracle_rows(D, candidate_places(D)):
+            if row["oracle"] != row["hilbert"]:
+                raise OracleMismatchError(
+                    f"hilbert={row['hilbert']} but oracle={row['oracle']} "
+                    f"at place {row['place']} for {D}"
+                )
     ram = ramification_set(D)
     return Report(
         command="ramify",
@@ -466,9 +485,7 @@ def _cmd_ramify(args) -> Report:
 
 def _cmd_embed(args) -> Report:
     d = parse_rational(args.d)
-    D = parse_algebra(args.algebra)
-    if not isinstance(D, QuaternionQ):
-        raise ParseError("embed expects a quaternion algebra over Q", args.algebra, 0)
+    D = _quaternion(args.algebra, "embed")
     fieldq = QuadraticField.from_rational(d)
     answer = embeds(fieldq, D)
     ram = ramification_set(D)
@@ -487,18 +504,11 @@ def _cmd_embed(args) -> Report:
 
 
 def _cmd_distinguish(args) -> Report:
-    D1 = parse_algebra(args.first)
-    D2 = parse_algebra(args.second)
-    if not isinstance(D1, QuaternionQ) or not isinstance(D2, QuaternionQ):
-        raise ParseError("distinguish expects quaternion algebras over Q", args.first, 0)
+    D1 = _quaternion(args.first, "distinguish")
+    D2 = _quaternion(args.second, "distinguish")
     witness = distinguishing_field(D1, D2, max_witness=args.max_witness)
     if witness is None:
-        result = {
-            "equivalent": True,
-            "witness": None,
-            "ramified_first": [str(v) for v in ramification_set(D1)],
-            "ramified_second": [str(v) for v in ramification_set(D2)],
-        }
+        result = {"equivalent": True, "witness": None}
     else:
         result = {
             "equivalent": False,
@@ -506,9 +516,9 @@ def _cmd_distinguish(args) -> Report:
             "field": str(witness),
             "embeds_in_first": embeds(witness, D1),
             "embeds_in_second": embeds(witness, D2),
-            "ramified_first": [str(v) for v in ramification_set(D1)],
-            "ramified_second": [str(v) for v in ramification_set(D2)],
         }
+    result["ramified_first"] = [str(v) for v in ramification_set(D1)]
+    result["ramified_second"] = [str(v) for v in ramification_set(D2)]
     return Report(
         command="distinguish",
         inputs={"first": args.first, "second": args.second},
@@ -547,30 +557,19 @@ def _cmd_unramified_group(args) -> Report:
     )
 
 
-def _cmd_ff_ramify(args) -> tuple[Report, int]:
-    D = parse_algebra(args.algebra)
-    if not isinstance(D, SymbolAlgebraFF):
-        raise ParseError(
-            "ff-ramify expects a symbol algebra (f, g; n=N, k=FP|Q)", args.algebra, 0
-        )
-    exit_status = EXIT_OK
+def _cmd_ff_ramify(args) -> Report:
+    D = _symbol(args.algebra, "ff-ramify")
     if D.char > 0:
-        places = ram_V(D)
-        entries = [{"place": str(w), "certainty": "proven"} for w in places]
+        entries = [{"place": str(w), "certainty": "proven"} for w in ram_V(D)]
     else:
-        residues = ram_V_over_Q(D)
         entries = []
-        unresolved = 0
-        for res in residues:
+        for res in ram_V_over_Q(D):
             entry = {"place": str(res.place), "certainty": res.certainty}
             if res.witness_prime is not None:
                 entry["witness_prime"] = res.witness_prime
-            if res.certainty == UNRESOLVED:
-                unresolved += 1
             entries.append(entry)
-        if unresolved:
-            exit_status = EXIT_UNRESOLVED
-    report = Report(
+    unresolved = any(e["certainty"] == UNRESOLVED for e in entries)
+    return Report(
         command="ff-ramify",
         inputs={"algebra": args.algebra},
         result={"ramified_places": entries, "count": len(entries)},
@@ -578,27 +577,21 @@ def _cmd_ff_ramify(args) -> tuple[Report, int]:
             _TAME_RULE,
             "candidate places: divisors of the entries plus the degree place",
         ],
-        exit_status=exit_status,
+        exit_status=EXIT_UNRESOLVED if unresolved else EXIT_OK,
         inline_notes={"count": "proven-ramified plus unresolved places"},
     )
-    return report, exit_status
 
 
-def _cmd_genus_bound(args) -> tuple[Report, int]:
-    D = parse_algebra(args.algebra)
-    if not isinstance(D, SymbolAlgebraFF):
-        raise ParseError(
-            "genus-bound expects a symbol algebra (f, g; n=N, k=FP|Q)", args.algebra, 0
-        )
+def _cmd_genus_bound(args) -> Report:
+    D = _symbol(args.algebra, "genus-bound")
     bound = genus_bound(D, args.unramified_order)
-    exit_status = EXIT_UNRESOLVED if bound.unresolved else EXIT_OK
     if D.char > 0:
         unram_note = "unramified Brauer group of F_p(x) is trivial (factor 1)"
     else:
         unram_note = (
             "constant-field reduction: factor 1 for exponent-2 algebras over Q(x)"
         )
-    report = Report(
+    return Report(
         command="genus-bound",
         inputs={"algebra": args.algebra},
         result={
@@ -617,7 +610,7 @@ def _cmd_genus_bound(args) -> tuple[Report, int]:
             unram_note,
             _TAME_RULE,
         ],
-        exit_status=exit_status,
+        exit_status=EXIT_UNRESOLVED if bound.unresolved else EXIT_OK,
         inline_notes={
             "bound": "unramified order * phi(n)^r",
             "ramified_count": "r in the phi(n)^r factor",
@@ -625,7 +618,6 @@ def _cmd_genus_bound(args) -> tuple[Report, int]:
             "phi_factor": "phi(n)^r",
         },
     )
-    return report, exit_status
 
 
 def _cmd_elliptic_bound(args) -> Report:
@@ -672,33 +664,12 @@ def _cmd_elliptic_bound(args) -> Report:
     )
 
 
-def _cmd_oracle_check(args) -> tuple[Report, int]:
-    D = parse_algebra(args.algebra)
-    if not isinstance(D, QuaternionQ):
-        raise ParseError("oracle-check expects a quaternion algebra", args.algebra, 0)
-    if args.places:
-        places = parse_places(args.places)
-    else:
-        from .brauerq import candidate_places
-
-        places = candidate_places(D)
-    rows = []
-    mismatches = 0
-    for v in places:
-        expected = hilbert(D.a, D.b, v)
-        if v.is_infinite:
-            got = -1 if D.a < 0 and D.b < 0 else 1
-            route = "sign test"
-        else:
-            got = hilbert_oracle(D.a, D.b, v.p, allow_dyadic=(v.p == 2))
-            route = "mod p^k search with Hensel lifting"
-        if got != expected:
-            mismatches += 1
-        rows.append(
-            {"place": str(v), "hilbert": expected, "oracle": got, "route": route}
-        )
-    exit_status = EXIT_ORACLE_MISMATCH if mismatches else EXIT_OK
-    report = Report(
+def _cmd_oracle_check(args) -> Report:
+    D = _quaternion(args.algebra, "oracle-check")
+    places = parse_places(args.places) if args.places else candidate_places(D)
+    rows = list(_oracle_rows(D, places))
+    mismatches = sum(row["oracle"] != row["hilbert"] for row in rows)
+    return Report(
         command="oracle-check",
         inputs={"algebra": args.algebra, "places": args.places or "auto"},
         result={"checks": rows, "mismatches": mismatches},
@@ -706,10 +677,9 @@ def _cmd_oracle_check(args) -> tuple[Report, int]:
             "closed-form local symbol vs exhaustive search modulo p^k for "
             "primitive solutions of z^2 = a x^2 + b y^2 with Hensel-lifting acceptance",
         ],
-        exit_status=exit_status,
+        exit_status=EXIT_ORACLE_MISMATCH if mismatches else EXIT_OK,
         inline_notes={"mismatches": "agreement of the two independent routes"},
     )
-    return report, exit_status
 
 
 # -- entry point ----------------------------------------------------------------
@@ -804,12 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> tuple[Report, int, str]:
     """Execute one request: returns (report, exit status, output format)."""
     args = build_parser().parse_args(argv)
-    outcome = args.func(args)
-    if isinstance(outcome, tuple):
-        report, status = outcome
-    else:
-        report, status = outcome, outcome.exit_status
-    return report, status, args.format
+    report = args.func(args)
+    return report, report.exit_status, args.format
 
 
 def main(argv=None) -> int:

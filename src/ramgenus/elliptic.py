@@ -88,10 +88,6 @@ class WeierstrassCurve:
         return f"y^2 = {f}"
 
 
-def discriminant(curve: WeierstrassCurve) -> Fraction:
-    return curve.discriminant()
-
-
 @dataclass(frozen=True)
 class ExceptionalSet:
     """The finite place set S with per-place provenance tags."""

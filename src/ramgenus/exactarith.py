@@ -68,6 +68,14 @@ def is_prime(n: int) -> bool:
     return not _mr_composite(n)
 
 
+def primes_after(n: int):
+    """Yield the primes greater than n, in increasing order."""
+    while True:
+        n += 1
+        if is_prime(n):
+            yield n
+
+
 def _brent_rho(n: int) -> int:
     """Find a nontrivial factor of composite odd n (Brent's cycle variant).
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import UnsupportedFieldError, ZeroValuationError
-from .exactarith import euler_phi, is_prime, is_rational_square
+from .exactarith import euler_phi, is_prime, is_rational_square, primes_after
 from .gfpoly import (
     PolyFp,
     fq_inv,
@@ -97,18 +98,6 @@ class FFPlace:
         return "inf" if self.pi is None else f"({self.pi})"
 
 
-def _zero_poly_like(template: PolyFp | PolyQ):
-    if isinstance(template, PolyFp):
-        return PolyFp(template.p, ())
-    return PolyQ(())
-
-
-def _one_poly_like(template: PolyFp | PolyQ):
-    if isinstance(template, PolyFp):
-        return PolyFp.constant(template.p, 1)
-    return PolyQ.constant(1)
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """An element of k(x) in reduced form: gcd(num, den) = 1, den monic."""
@@ -129,20 +118,17 @@ class RationalFunction:
             if g.degree > 0:
                 num, den = num // g, den // g
         else:
-            den = _one_poly_like(den)
+            den = den._like((1,))
         lead = den.leading()
         if lead != 1:
-            if isinstance(den, PolyFp):
-                inv = pow(lead, -1, den.p)
-                num, den = num.scale(inv), den.scale(inv)
-            else:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+            inv = den._inv(lead)
+            num, den = num.scale(inv), den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @classmethod
     def of(cls, num: PolyFp | PolyQ, den: PolyFp | PolyQ | None = None):
-        return cls(num, den if den is not None else _one_poly_like(num))
+        return cls(num, den if den is not None else num._like((1,)))
 
     @property
     def char(self) -> int:
@@ -176,7 +162,7 @@ class RationalFunction:
     def pow(self, e: int) -> "RationalFunction":
         if e < 0:
             return self.inverse().pow(-e)
-        out = RationalFunction.of(_one_poly_like(self.num))
+        out = RationalFunction.of(self.num._like((1,)))
         base = self
         while e:
             if e & 1:
@@ -193,10 +179,10 @@ class RationalFunction:
             return self
         rn, rd = self.num.reverse(), self.den.reverse()
         shift = self.den.degree - self.num.degree
-        x = PolyFp.x(self.num.p) if isinstance(self.num, PolyFp) else PolyQ.x()
+        x_power = rn._like((0,) * abs(shift) + (1,))
         if shift >= 0:
-            return RationalFunction(rn * _x_power(x, shift), rd)
-        return RationalFunction(rn, rd * _x_power(x, -shift))
+            return RationalFunction(rn * x_power, rd)
+        return RationalFunction(rn, rd * x_power)
 
     def valuation_at(self, place: FFPlace) -> int:
         """v_w(f) for nonzero f."""
@@ -214,60 +200,17 @@ class RationalFunction:
         """
         if place.is_infinite:
             model = self.at_infinity_model()
-            xplace = FFPlace.finite(
-                PolyFp.x(self.char) if self.char else PolyQ.x()
-            )
-            return model.residue_at(xplace)
+            return model.residue_at(FFPlace.finite(self.num._like((0, 1))))
         pi = place.pi
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
             raise ZeroValuationError(f"{self} is not a unit at {place}")
-        return n * _residue_inv(d, pi) % pi
+        return n * fq_inv(d, pi) % pi
 
     def __str__(self) -> str:
         if self.den.is_constant():
             return str(self.num)
         return f"({self.num})/({self.den})"
-
-
-def _x_power(x, e: int):
-    out = _one_poly_like(x)
-    for _ in range(e):
-        out = out * x
-    return out
-
-
-def _qpoly_inv_mod(a: PolyQ, pi: PolyQ) -> PolyQ:
-    a = a % pi
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of 0 in residue field")
-    r0, r1 = pi, a
-    s0, s1 = PolyQ(()), PolyQ.constant(1)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    return s0.scale(1 / r0.constant_value()) % pi
-
-
-def _residue_inv(a, pi):
-    return fq_inv(a, pi) if isinstance(pi, PolyFp) else _qpoly_inv_mod(a, pi)
-
-
-def _residue_pow(u, e: int, pi):
-    """u^e in k[x]/(pi) for a unit u reduced mod pi; e may be negative."""
-    if isinstance(pi, PolyFp):
-        return u.pow_mod(e, pi)
-    if e < 0:
-        u, e = _qpoly_inv_mod(u, pi), -e
-    if e == 0:
-        return PolyQ.constant(1)
-    out = u
-    for bit in bin(e)[3:]:
-        out = out * out % pi
-        if bit == "1":
-            out = out * u % pi
-    return out
 
 
 def _split_off(poly, pi) -> tuple[int, object]:
@@ -286,7 +229,7 @@ def _valuation_and_unit(f: RationalFunction, pi) -> tuple[int, object]:
     if f.den.is_constant():  # den is monic, so this is den = 1
         return vn, n
     vd, d = _split_off(f.den, pi)
-    return vn - vd, n * _residue_inv(d, pi) % pi
+    return vn - vd, n * fq_inv(d, pi) % pi
 
 
 def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
@@ -377,7 +320,7 @@ def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
     if w.is_infinite:
         a = D.a.at_infinity_model()
         b = D.b.at_infinity_model()
-        w = FFPlace.finite(PolyFp.x(D.char) if D.char else PolyQ.x())
+        w = FFPlace.finite(a.num._like((0, 1)))
     else:
         a, b = D.a, D.b
     va, vb = a.valuation_at(w), b.valuation_at(w)
@@ -399,16 +342,14 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         raise ValueError("place and algebra live over different base fields")
     if w.is_infinite:
         model = SymbolAlgebraFF(D.n, D.a.at_infinity_model(), D.b.at_infinity_model())
-        inner = tame_residue(
-            model, FFPlace.finite(PolyFp.x(D.char) if D.char else PolyQ.x())
-        )
+        inner = tame_residue(model, FFPlace.finite(D.a.num._like((0, 1))))
         return TameResidue(
             w, inner.residue_class, inner.ramified, inner.certainty, inner.witness_prime
         )
     pi = w.pi
     va, ua = _valuation_and_unit(D.a, pi)
     vb, ub = _valuation_and_unit(D.b, pi)
-    residue = _residue_pow(ua, vb, pi) * _residue_pow(ub, -va, pi) % pi
+    residue = ua.pow_mod(vb, pi) * ub.pow_mod(-va, pi) % pi
     if va * vb % 2:
         residue = -residue
     if D.char > 0:
@@ -419,16 +360,20 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     return _decide_square_over_q(w, residue)
 
 
-def _decide_square_over_q(
-    w: FFPlace, residue: PolyQ, prime_count: int = 30, attempt_cap: int = 400
-) -> TameResidue:
+# Square images at this many good primes end the scan unresolved; the scan
+# looks at no more primes than the second number.
+_SQUARE_PRIMES = 30
+_SQUARE_ATTEMPTS = 400
+
+
+def _decide_square_over_q(w: FFPlace, residue: PolyQ) -> TameResidue:
     """Squareness of a residue in Q[x]/(pi), one-sided exactly.
 
     deg pi = 1: the residue field is Q, decided exactly. Otherwise reduce
     modulo good primes q (pi stays irreducible, everything q-integral and
     nonzero): a nonsquare image at a single good q proves ramification, while
-    square images at ``prime_count`` good primes is only evidence, reported
-    as unresolved rather than asserted unramified.
+    square images at ``_SQUARE_PRIMES`` good primes is only evidence,
+    reported as unresolved rather than asserted unramified.
     """
     pi = w.pi
     if pi.degree == 1:
@@ -438,9 +383,7 @@ def _decide_square_over_q(
         # a rational square is a square in every extension field
         return TameResidue(w, residue, False)
     squares_seen = 0
-    q = 2
-    for _ in range(attempt_cap):
-        q = _next_prime(q)
+    for q in islice(primes_after(2), _SQUARE_ATTEMPTS):
         try:
             pi_q = pi.reduce_mod(q)
             if pi_q.degree != pi.degree or not is_irreducible_fp(pi_q):
@@ -453,16 +396,9 @@ def _decide_square_over_q(
         if not residue_class_is_nth_power(res_q, pi_q, 2):
             return TameResidue(w, residue, True, PROVEN, q)
         squares_seen += 1
-        if squares_seen >= prime_count:
+        if squares_seen >= _SQUARE_PRIMES:
             break
     return TameResidue(w, residue, None, UNRESOLVED)
-
-
-def _next_prime(q: int) -> int:
-    q += 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 def _candidate_places(D: SymbolAlgebraFF) -> list[FFPlace]:
@@ -532,10 +468,10 @@ def genus_bound(D: SymbolAlgebraFF, unramified_order: int | None = None) -> FFGe
     """
     if unramified_order is not None and unramified_order < 1:
         raise ValueError("unramified order must be a positive integer")
+    order = 1 if unramified_order is None else unramified_order
     if D.char > 0:
         ramified = tuple(ram_V(D))
         unresolved: tuple[FFPlace, ...] = ()
-        order = 1 if unramified_order is None else unramified_order
     else:
         if D.n != 2:
             raise UnsupportedFieldError(
@@ -544,7 +480,6 @@ def genus_bound(D: SymbolAlgebraFF, unramified_order: int | None = None) -> FFGe
         entries = ram_V_over_Q(D)
         ramified = tuple(e.place for e in entries if e.ramified)
         unresolved = tuple(e.place for e in entries if e.ramified is None)
-        order = 1 if unramified_order is None else unramified_order
     r = len(ramified)
     phi_factor = euler_phi(D.n) ** r
     return FFGenusBound(

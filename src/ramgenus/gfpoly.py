@@ -10,6 +10,10 @@ Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``constant``, ``x``) check the characteristic and reduce coefficients;
 ring operations build their results with the trusted ``PolyFp._make``.
 
+``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, Euclid,
+``pow_mod`` and printing) and ``fq_inv``, the inverse in k[x]/(pi); PolyFp
+overrides the parts the int-list kernel runs faster.
+
 Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
 by Euclid (``_norm``), whenever the class-group order divides p - 1; every
 n = 2 test does. For odd p, ``is_irreducible_fp`` rejects most reducible
@@ -128,8 +132,86 @@ def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
     return out
 
 
+class _Poly:
+    """What a dense polynomial over a field k does independently of k:
+    ``coeffs`` ascending with trailing zeros stripped, structure, Euclid and
+    printing. A subclass supplies ``_like(coeffs)``, a polynomial over the
+    same field, and ``_inv(c)``, the inverse of a nonzero scalar."""
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def leading(self):
+        if not self.coeffs:
+            raise ZeroValuationError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self.scale(self._inv(self.leading()))
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+
+    def pow_mod(self, e: int, modulus):
+        """self^e in k[x]/(modulus), left to right; e < 0 inverts first."""
+        if e < 0:
+            return fq_inv(self.pow_mod(-e, modulus), modulus)
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if e == 0:
+            return self._like((1,))
+        base = self % modulus
+        out = base
+        for bit in bin(e)[3:]:
+            out = out * out % modulus
+            if bit == "1":
+                out = out * base % modulus
+        return out
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append("x" if c == 1 else f"{c}*x")
+            else:
+                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def sort_key(self) -> tuple:
+        return (self.degree, self.coeffs[::-1])
+
+
 @dataclass(frozen=True)
-class PolyFp:
+class PolyFp(_Poly):
     """A polynomial over F_p: coefficients ascending, trailing zeros stripped."""
 
     p: int
@@ -151,6 +233,12 @@ class PolyFp:
         object.__setattr__(poly, "coeffs", tuple(coeffs))
         return poly
 
+    def _like(self, coeffs) -> "PolyFp":
+        return PolyFp._make(self.p, coeffs)
+
+    def _inv(self, c: int) -> int:
+        return pow(c, -1, self.p)
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod
@@ -164,27 +252,6 @@ class PolyFp:
     @classmethod
     def x(cls, p: int) -> "PolyFp":
         return cls(p, (0, 1))
-
-    # -- basic structure -----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ZeroValuationError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def constant_value(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
@@ -229,22 +296,10 @@ class PolyFp:
             q = [c * inv % p for c in q]
         return PolyFp._make(p, q), PolyFp._make(p, r)
 
-    def __floordiv__(self, other: "PolyFp") -> "PolyFp":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyFp") -> "PolyFp":
-        return divmod(self, other)[1]
-
     def monic(self) -> "PolyFp":
         if self.is_zero():
             return self
         return PolyFp._make(self.p, _monic_coeffs(self))
-
-    def gcd(self, other: "PolyFp") -> "PolyFp":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def derivative(self) -> "PolyFp":
         p = self.p
@@ -270,43 +325,24 @@ class PolyFp:
             return PolyFp._make(self.p, (1,))
         return PolyFp._make(self.p, _pow_mod(self.coeffs, e, _monic_coeffs(modulus), self.p))
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return " + ".join(parts)
 
-    def sort_key(self) -> tuple:
-        return (self.degree, self.coeffs[::-1])
+# -- residue field k[x]/(pi) ---------------------------------------------------
 
 
-# -- residue field F_p[x]/(pi) ----------------------------------------------
-
-
-def fq_inv(a: PolyFp, pi: PolyFp) -> PolyFp:
-    """Inverse of a modulo pi via the extended Euclidean algorithm."""
+def fq_inv(a: _Poly, pi: _Poly) -> _Poly:
+    """Inverse of a modulo pi via the extended Euclidean algorithm, for
+    polynomials over F_p or Q."""
     a = a % pi
     if a.is_zero():
         raise ZeroDivisionError("inverse of 0 in residue field")
-    p = a.p
     r0, r1 = pi, a
-    s0, s1 = PolyFp(p, ()), PolyFp.constant(p, 1)
+    s0, s1 = a._like(()), a._like((1,))
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     # r0 is a nonzero constant gcd
-    return s0.scale(pow(r0.constant_value(), -1, p)) % pi
+    return s0.scale(a._inv(r0.constant_value())) % pi
 
 
 def is_square_fq(r: PolyFp, pi: PolyFp) -> bool:

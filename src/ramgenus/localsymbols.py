@@ -18,6 +18,7 @@ from .errors import ZeroValuationError
 from .exactarith import is_prime, legendre, smallest_nonresidue
 
 
+@functools.total_ordering
 @dataclass(frozen=True, order=False)
 class PlaceQ:
     """A place of Q: a finite prime p, or the real place (p is None)."""
@@ -46,15 +47,6 @@ class PlaceQ:
 
     def __lt__(self, other: "PlaceQ") -> bool:
         return self._key() < other._key()
-
-    def __le__(self, other: "PlaceQ") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "PlaceQ") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "PlaceQ") -> bool:
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         return "inf" if self.p is None else str(self.p)

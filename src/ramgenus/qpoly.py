@@ -1,7 +1,8 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
 Arithmetic is Fraction arithmetic on coefficients stored ascending with
-trailing zeros stripped, mirroring PolyFp. Factorization works in Z[x] on the
+trailing zeros stripped; structure, Euclid, ``pow_mod`` and printing come
+from ``gfpoly._Poly``, which PolyQ shares with PolyFp. Factorization works in Z[x] on the
 primitive integer model (Zassenhaus 1969; von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 15): squarefree parts, factorization modulo a small
 prime with ``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a
@@ -18,12 +19,12 @@ from math import comb, isqrt
 from math import gcd as int_gcd
 
 from .errors import ZeroValuationError
-from .exactarith import is_prime
-from .gfpoly import PolyFp, _add_mod, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
+from .exactarith import primes_after
+from .gfpoly import PolyFp, _add_mod, _Poly, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
 
 
 @dataclass(frozen=True)
-class PolyQ:
+class PolyQ(_Poly):
     """A polynomial over Q: Fraction coefficients ascending, normalized."""
 
     coeffs: tuple[Fraction, ...]
@@ -33,6 +34,16 @@ class PolyQ:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
+
+    def _like(self, coeffs) -> "PolyQ":
+        return PolyQ(tuple(coeffs))
+
+    def _inv(self, c: Fraction) -> Fraction:
+        return 1 / c
+
+    # bound in the class body as well as inherited, so that PolyQ.gcd can be
+    # wrapped (traced, patched) apart from PolyFp.gcd
+    gcd = _Poly.gcd
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
@@ -45,24 +56,6 @@ class PolyQ:
     @classmethod
     def x(cls) -> "PolyQ":
         return cls((Fraction(0), Fraction(1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroValuationError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def constant_value(self) -> Fraction:
         return self.coeffs[0] if self.coeffs else Fraction(0)
@@ -109,23 +102,6 @@ class PolyQ:
                     rem[i - dq + j] -= c * b
         return PolyQ(tuple(q)), PolyQ(tuple(rem))
 
-    def __floordiv__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyQ") -> "PolyQ":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "PolyQ":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.leading())
-
-    def gcd(self, other: "PolyQ") -> "PolyQ":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
     def derivative(self) -> "PolyQ":
         return PolyQ(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
@@ -165,26 +141,6 @@ class PolyQ:
                 raise ZeroDivisionError(f"coefficient {c} is not p-integral at {p}")
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
         return PolyFp(p, tuple(out))
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{cs}*x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{cs}*x^{i}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def sort_key(self) -> tuple:
-        return (self.degree, tuple(self.coeffs[::-1]))
 
 
 # -- factorization in Z[x] ----------------------------------------------------
@@ -267,13 +223,6 @@ def _subset_degrees(factors: list[PolyFp]) -> set[int]:
     return sums
 
 
-def _primes_from(p: int):
-    while True:
-        p += 1
-        if is_prime(p):
-            yield p
-
-
 def _factor_squarefree(
     f: list[int], first: tuple[int, list[PolyFp]] | None = None
 ) -> list[list[int]]:
@@ -294,7 +243,7 @@ def _factor_squarefree(
         return [f]
     allowed = set(range(n + 1))
     tried: list[list[PolyFp]] = []
-    primes = _primes_from(first[0] if first else 2)
+    primes = primes_after(first[0] if first else 2)
     while len(tried) < 3:
         if first is not None:
             factors, first = first[1], None
@@ -403,7 +352,7 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     if len(rest) == 2:
         found.append((rest, 1))
     elif len(rest) > 2:
-        p = next(q for q in _primes_from(2) if rest[-1] % q)
+        p = next(q for q in primes_after(2) if rest[-1] % q)
         parts = poly_factor_fp(PolyFp(p, tuple(rest)))
         if all(mult == 1 for _, mult in parts):
             found += [(g, 1) for g in _factor_squarefree(rest, (p, [u for u, _ in parts]))]
