@@ -360,8 +360,8 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     return _decide_square_over_q(w, residue)
 
 
-# Square images at this many good primes end the scan unresolved; the scan
-# looks at no more primes than the second number.
+# The square scan over Q(x) stops, unresolved, after square images at
+# _SQUARE_PRIMES good primes, and looks at no more than _SQUARE_ATTEMPTS primes.
 _SQUARE_PRIMES = 30
 _SQUARE_ATTEMPTS = 400
 

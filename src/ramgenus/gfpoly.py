@@ -175,7 +175,8 @@ class _Poly:
         return a.monic()
 
     def pow_mod(self, e: int, modulus):
-        """self^e in k[x]/(modulus), left to right; e < 0 inverts first."""
+        """self^e in k[x]/(modulus), left to right; for e < 0 the inverse of
+        self^(-e)."""
         if e < 0:
             return fq_inv(self.pow_mod(-e, modulus), modulus)
         if modulus.is_zero():
@@ -252,6 +253,8 @@ class PolyFp(_Poly):
     @classmethod
     def x(cls, p: int) -> "PolyFp":
         return cls(p, (0, 1))
+
+    # -- basic structure -----------------------------------------------------
 
     def constant_value(self) -> int:
         return self.coeffs[0] if self.coeffs else 0

@@ -2,12 +2,13 @@
 
 Arithmetic is Fraction arithmetic on coefficients stored ascending with
 trailing zeros stripped; structure, Euclid, ``pow_mod`` and printing come
-from ``gfpoly._Poly``, which PolyQ shares with PolyFp. Factorization works in Z[x] on the
-primitive integer model (Zassenhaus 1969; von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 15): squarefree parts, factorization modulo a small
-prime with ``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a
-Mignotte bound, and recombination of lifted factors checked by exact
-division. It is self-contained: no computer-algebra system is imported.
+from ``gfpoly._Poly``, which PolyQ shares with PolyFp. Factorization works
+in Z[x] on the primitive integer model (Zassenhaus 1969; von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 15): squarefree parts,
+factorization modulo a small prime with ``gfpoly.poly_factor_fp``,
+quadratic Hensel lifting past a Mignotte bound, and recombination of lifted
+factors checked by exact division. It is self-contained: no computer-algebra
+system is imported.
 """
 
 from __future__ import annotations
