@@ -20,7 +20,7 @@ from .errors import (
     ZeroValuationError,
 )
 from .exactarith import factor, is_rational_square, squarefree_part
-from .localsymbols import REAL_PLACE, PlaceQ, hilbert, square_class
+from .localsymbols import REAL_PLACE, PlaceQ, hilbert, is_local_square
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,14 @@ class RamificationSet:
             )
         object.__setattr__(self, "places", ordered)
 
+    @classmethod
+    def _from_sorted(cls, places: tuple[PlaceQ, ...]) -> "RamificationSet":
+        """Trusted constructor for a tuple that is already sorted, distinct
+        and of even size; skips the checks that the constructor runs."""
+        ram = object.__new__(cls)
+        object.__setattr__(ram, "places", places)
+        return ram
+
     def __iter__(self):
         return iter(self.places)
 
@@ -86,7 +94,7 @@ def candidate_places(D: QuaternionQ) -> list[PlaceQ]:
     for q in (D.a, D.b):
         primes.update(factor(q.numerator).primes())
         primes.update(factor(q.denominator).primes())
-    places = [PlaceQ.finite(p) for p in sorted(primes)]
+    places = [PlaceQ._from_factor(p) for p in sorted(primes)]
     places.append(REAL_PLACE)
     return places
 
@@ -146,7 +154,7 @@ def embeds(field: QuadraticField, D: QuaternionQ) -> bool:
     ram = ramification_set(D)
     if ram.is_empty():
         raise SplitAlgebraError(f"{D} is split; embedding criterion needs division")
-    return all(not square_class(field.d, v).is_identity() for v in ram)
+    return all(not is_local_square(field.d, v) for v in ram)
 
 
 _SIEVE_BLOCK = 1 << 16
@@ -195,9 +203,9 @@ def distinguishing_field(
     v0 = diff[0]
     other = r2 if v0 in r1 else r1
     for d in _squarefree_candidates(max_witness):
-        if not square_class(d, v0).is_identity():
+        if not is_local_square(d, v0):
             continue
-        if any(square_class(d, v).is_identity() for v in other):
+        if any(is_local_square(d, v) for v in other):
             continue
         field = QuadraticField(d)
         e1, e2 = embeds(field, D1), embeds(field, D2)
@@ -221,8 +229,9 @@ def enumerate_unramified(S) -> list[RamificationSet]:
         raise ValueError("S must contain the real place")
     if len(places) < 2:
         raise ValueError("S must contain at least two places")
-    out = []
-    for size in range(0, len(places) + 1, 2):
-        for combo in itertools.combinations(places, size):
-            out.append(RamificationSet(combo))
-    return out
+    make = RamificationSet._from_sorted  # combinations of a sorted list stay sorted
+    return [
+        make(combo)
+        for size in range(0, len(places) + 1, 2)
+        for combo in itertools.combinations(places, size)
+    ]

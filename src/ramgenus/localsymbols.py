@@ -34,6 +34,14 @@ class PlaceQ:
         return cls(p)
 
     @classmethod
+    def _from_factor(cls, p: int) -> "PlaceQ":
+        """The place of a prime that ``factor`` has just certified; skips the
+        primality test that the constructor runs."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "p", p)
+        return place
+
+    @classmethod
     def real_infinity(cls) -> "PlaceQ":
         return cls(None)
 
@@ -99,20 +107,33 @@ class LocalSquareClass:
 
 def square_class(a: Fraction | int, v: PlaceQ) -> LocalSquareClass:
     """The class of nonzero a in Q_v^x modulo squares."""
-    a = Fraction(a)
-    if a == 0:
+    n, d = _num_den(a)
+    if not n:
         raise ZeroValuationError("0 has no square class")
-    if v.is_infinite:
-        return LocalSquareClass(v, 0, 1 if a > 0 else -1)
     p = v.p
-    w, unit = _local_split(a, p)
+    if p is None:
+        return LocalSquareClass(v, 0, 1 if n > 0 else -1)
+    w, unit = _local_split(n, d, p)
     if p == 2:
         return LocalSquareClass(v, w % 2, unit % 8)
     return LocalSquareClass(v, w % 2, legendre(unit, p))
 
 
 def is_local_square(a: Fraction | int, v: PlaceQ) -> bool:
-    return square_class(a, v).is_identity()
+    """Is nonzero a a square in Q_v? The same test as
+    ``square_class(a, v).is_identity()``, without building the class."""
+    n, d = _num_den(a)
+    if not n:
+        raise ZeroValuationError("0 has no square class")
+    p = v.p
+    if p is None:
+        return n > 0
+    w, unit = _local_split(n, d, p)
+    if w % 2:
+        return False
+    if p == 2:
+        return unit % 8 == 1
+    return legendre(unit, p) == 1
 
 
 def _eps(u: int) -> int:
@@ -125,6 +146,15 @@ def _omega(u: int) -> int:
     return (u * u - 1) // 8 % 2
 
 
+def _num_den(a) -> tuple[int, int]:
+    """Numerator and positive denominator of a rational in lowest terms.
+    ``int`` and ``Fraction`` are read directly; anything else goes through
+    ``Fraction()`` once."""
+    if type(a) is not int and type(a) is not Fraction:
+        a = Fraction(a)
+    return a.as_integer_ratio()
+
+
 def _strip(n: int, p: int) -> tuple[int, int]:
     v = 0
     while n % p == 0:
@@ -133,10 +163,10 @@ def _strip(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-def _local_split(q: Fraction, p: int) -> tuple[int, int]:
-    """(v_p(q), unit proxy): the proxy n*d is a p-unit integer in the same
-    square class of Q_p as the unit part of q (n/d and n*d differ by d^2)."""
-    n, d = q.numerator, q.denominator
+def _local_split(n: int, d: int, p: int) -> tuple[int, int]:
+    """(v_p(n/d), unit proxy): the proxy n0*d0 is a p-unit integer in the same
+    square class of Q_p as the unit part of n/d (n0/d0 and n0*d0 differ by
+    d0^2)."""
     if n % p and d % p:
         return 0, n * d
     vn, n0 = _strip(n, p)
@@ -148,17 +178,15 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
     solution over Q_v. Closed-form local formulas; symmetric and
     bimultiplicative, and it depends only on the square classes of a and b."""
-    if type(a) is not Fraction:
-        a = Fraction(a)
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    if a == 0 or b == 0:
+    an, ad = _num_den(a)
+    bn, bd = _num_den(b)
+    if not an or not bn:
         raise ZeroValuationError("Hilbert symbol needs nonzero entries")
-    if v.is_infinite:
-        return -1 if a < 0 and b < 0 else 1
     p = v.p
-    alpha, ua = _local_split(a, p)
-    beta, ub = _local_split(b, p)
+    if p is None:
+        return -1 if an < 0 and bn < 0 else 1
+    alpha, ua = _local_split(an, ad, p)
+    beta, ub = _local_split(bn, bd, p)
     if p == 2:
         u, w = ua % 8, ub % 8
         exp = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
@@ -201,7 +229,10 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 # soon as the Hensel criterion v(f(P)) >= 2 e + 1 holds, where e is the
 # minimum valuation of the gradient (2ax, 2by, -2z) at P. Primitive solutions
 # that never reach the criterion die out by level k because some coordinate of
-# a primitive triple is a unit, which caps e at v(2) + max(v(a), v(b)).
+# a primitive triple is a unit, which caps e at v(2) + max(v(a), v(b)). The
+# search runs on the reduced entries, whose valuations are 0 or 1, so the
+# depth k = 2 * max(v(a), v(b), 1) + 3 (+ 6 at p = 2, a mod-8 lifting margin)
+# does not grow with the valuations of the caller's entries.
 #
 # Scaling a triple by a unit changes neither f = 0 mod p^j nor the gradient
 # valuations, so the search keeps one triple per scaling class, the one whose
@@ -245,7 +276,8 @@ def _projective_points(p: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int, k: int) -> int:
+def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int) -> int:
+    k = 2 * max(va, vb, 1) + (6 if p == 2 else 3)
     a = p**va * ua
     b = p**vb * ub
 
@@ -300,15 +332,14 @@ def hilbert_oracle(
 ) -> int:
     """Brute-force Hilbert symbol over Q_p (odd p; p = 2 behind a flag).
 
-    Searches for primitive solutions of z^2 = a x^2 + b y^2 modulo p^k,
-    k = 2*max|v_p| + 3 (odd p) or + 6 (p = 2, mod-8 lifting margin), accepting
-    via the nonsingular Hensel criterion. Entries must satisfy |v_p| <= 4.
+    Drops even powers of p from both entries, then searches for primitive
+    solutions of z^2 = a x^2 + b y^2 modulo p^k, k = 5 (odd p) or 8 (p = 2),
+    accepting via the nonsingular Hensel criterion. Entries must satisfy
+    |v_p| <= 4.
     """
-    if type(a) is not Fraction:
-        a = Fraction(a)
-    if type(b) is not Fraction:
-        b = Fraction(b)
-    if a == 0 or b == 0:
+    an, ad = _num_den(a)
+    bn, bd = _num_den(b)
+    if not an or not bn:
         raise ZeroValuationError("Hilbert symbol needs nonzero entries")
     if p not in _ORACLE_PRIMES:
         if not is_prime(p):
@@ -316,11 +347,9 @@ def hilbert_oracle(
         _ORACLE_PRIMES.add(p)
     if p == 2 and not allow_dyadic:
         raise ValueError("p = 2 requires allow_dyadic=True (mod-8 criterion)")
-    va, ua = _local_split(a, p)
-    vb, ub = _local_split(b, p)
+    va, ua = _local_split(an, ad, p)
+    vb, ub = _local_split(bn, bd, p)
     if abs(va) > 4 or abs(vb) > 4:
         raise ValueError("oracle supports |v_p(entry)| <= 4 only")
-    k = 2 * max(abs(va), abs(vb), 1) + (6 if p == 2 else 3)
-    if p == 2:
-        return _oracle_search(2, va % 2, ua % 8, vb % 2, ub % 8, k)
-    return _oracle_search(p, va % 2, ua % p, vb % 2, ub % p, k)
+    m = 8 if p == 2 else p  # units congruent mod m share a square class
+    return _oracle_search(p, va % 2, ua % m, vb % 2, ub % m)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from ramgenus.brauerq import (
     QuaternionQ,
     RamificationSet,
     _squarefree_candidates,
+    candidate_places,
     distinguishing_field,
     embeds,
     enumerate_unramified,
@@ -64,6 +66,33 @@ class TestRamificationSet:
     def test_odd_cardinality_rejected(self):
         with pytest.raises(ValueError):
             RamificationSet((PlaceQ.finite(2),))
+
+    def test_public_constructor_sorts_and_dedupes(self):
+        two, three, five = PlaceQ.finite(2), PlaceQ.finite(3), PlaceQ.finite(5)
+        ram = RamificationSet((REAL_PLACE, three, five, two, three, REAL_PLACE))
+        assert ram.places == (two, three, five, REAL_PLACE)
+        with pytest.raises(ValueError):
+            RamificationSet((three, two, three, five))
+
+    def test_candidate_places_skip_primality_test(self, monkeypatch):
+        import ramgenus.localsymbols as ls
+
+        calls = []
+        real_is_prime = ls.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real_is_prime(n)
+
+        monkeypatch.setattr(ls, "is_prime", counting)
+        D = QuaternionQ(Fraction(-3 * 7**2 * 1009, 5 * 11), 2**61 - 1)
+        places = candidate_places(D)
+        assert [v.p for v in places] == [2, 3, 5, 7, 11, 1009, 2**61 - 1, None]
+        assert calls == []
+        assert places[1] == PlaceQ.finite(3) and hash(places[1]) == hash(PlaceQ.finite(3))
+        with pytest.raises(ValueError):
+            PlaceQ.finite(4)
+        assert 4 in calls
 
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroValuationError):
@@ -212,6 +241,52 @@ class TestEnumerateUnramified:
         for size in range(2, 11):
             S = [REAL_PLACE] + [PlaceQ.finite(p) for p in primes[: size - 1]]
             assert len(enumerate_unramified(S)) == 2 ** (size - 1)
+
+    def test_matches_public_constructor(self):
+        # the public constructor over every even subset, as the classes were
+        # built before the trusted constructor
+        def reference(S):
+            places = sorted(set(S))
+            return [
+                RamificationSet(combo)
+                for size in range(0, len(places) + 1, 2)
+                for combo in itertools.combinations(places, size)
+            ]
+
+        primes = [89, 5, 211, 2, 47, 1009, 13, 373, 29, 3, 7]
+        rng = random.Random(149)
+        for size in range(2, 13):
+            S = [REAL_PLACE] + [PlaceQ.finite(p) for p in primes[: size - 1]]
+            shuffled = rng.sample(S, len(S))
+            doubled = shuffled + rng.sample(S, rng.randint(1, len(S)))
+            expected = reference(S)
+            for given in (S, shuffled, doubled):
+                got = enumerate_unramified(given)
+                assert got == expected
+                assert all(type(c.places) is tuple for c in got)
+
+    def test_no_place_comparison_or_hash_per_class(self, monkeypatch):
+        counts = {"lt": 0, "hash": 0}
+        real_lt, real_hash = PlaceQ.__lt__, PlaceQ.__hash__
+
+        def lt(self, other):
+            counts["lt"] += 1
+            return real_lt(self, other)
+
+        def hash_(self):
+            counts["hash"] += 1
+            return real_hash(self)
+
+        S = [REAL_PLACE] + [PlaceQ.finite(p) for p in (37, 2, 31, 3, 29, 5, 23, 7, 19, 11, 13)]
+        monkeypatch.setattr(PlaceQ, "__lt__", lt)
+        monkeypatch.setattr(PlaceQ, "__hash__", hash_)
+        classes = enumerate_unramified(S)
+        monkeypatch.undo()
+        assert len(classes) == 2048
+        # sorting and deduplicating S once costs O(|S| log |S|) of each; the
+        # public constructor would cost more than that per class
+        assert counts["lt"] < 100 and counts["hash"] < 100, counts
+        assert counts["lt"] > 0 and counts["hash"] > 0
 
     def test_rejects_bad_sets(self):
         with pytest.raises(ValueError):

@@ -1,17 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
-from ramgenus.exactarith import factor
+from ramgenus.exactarith import factor, legendre
 from ramgenus.localsymbols import (
     REAL_PLACE,
     LocalInvariant,
     PlaceQ,
+    _oracle_search,
     _projective_points,
     hilbert,
     hilbert_oracle,
@@ -170,6 +172,35 @@ class TestOracle:
         with pytest.raises(ValueError):
             hilbert_oracle(3**5, 2, 3)
 
+    def test_entries_share_a_cache_entry_across_odd_valuations(self):
+        # the search runs on reduced entries, so p^3 u and p u reach the same
+        # cache key (the depth no longer grows with |v_p|)
+        for p, u, b in ((3, 2, 5), (5, 2, 3), (7, 3, -1), (2, 3, 5)):
+            dyadic = p == 2
+            before = _oracle_search.cache_info()
+            first = hilbert_oracle(p**3 * u, b, p, allow_dyadic=dyadic)
+            mid = _oracle_search.cache_info()
+            second = hilbert_oracle(p * u, b, p, allow_dyadic=dyadic)
+            after = _oracle_search.cache_info()
+            assert first == second == hilbert(p * u, b, PlaceQ.finite(p))
+            assert mid.currsize - before.currsize <= 1
+            assert after.currsize == mid.currsize
+            assert after.hits == mid.hits + 1
+
+    def test_agreement_at_valuations_two_to_four(self):
+        units = [Fraction(u) for u in (-7, -3, -1, 1, 3, 5, 7)]
+        units += [Fraction(1, 3), Fraction(-5, 7), Fraction(11, 5)]
+        for p in (2, 3, 5):
+            v = PlaceQ.finite(p)
+            dyadic = p == 2
+            pu = [u for u in units if u.numerator % p and u.denominator % p]
+            deep = [u * Fraction(p) ** e for u in pu for e in (-4, -3, -2, 2, 3, 4)]
+            shallow = [u * Fraction(p) ** e for u in pu for e in (-1, 0, 1)]
+            for a in deep:
+                for b in shallow + deep:
+                    got = hilbert_oracle(a, b, p, allow_dyadic=dyadic)
+                    assert got == hilbert(a, b, v), (a, b, p)
+
     def test_agreement_small_grid(self):
         vals = [Fraction(n) for n in (-10, -5, -3, -2, -1, 1, 2, 3, 5, 10)]
         vals += [Fraction(1, 2), Fraction(-3, 4), Fraction(9, 5)]
@@ -226,3 +257,98 @@ class TestInvariant:
         zero = LocalInvariant(Fraction(0))
         assert (half + half).value == 0
         assert (half + zero).value == Fraction(1, 2)
+
+
+# The Fraction path that the int kernel replaced, kept verbatim as a reference.
+
+
+def _ref_strip(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _ref_local_split(q, p):
+    n, d = q.numerator, q.denominator
+    if n % p and d % p:
+        return 0, n * d
+    vn, n0 = _ref_strip(n, p)
+    vd, d0 = _ref_strip(d, p)
+    return vn - vd, n0 * d0
+
+
+def _ref_eps(u):
+    return (u - 1) // 2 % 2
+
+
+def _ref_omega(u):
+    return (u * u - 1) // 8 % 2
+
+
+def _ref_square_class(a, p):
+    a = Fraction(a)
+    if p is None:
+        return 0, 1 if a > 0 else -1
+    w, unit = _ref_local_split(a, p)
+    if p == 2:
+        return w % 2, unit % 8
+    return w % 2, legendre(unit, p)
+
+
+def _ref_hilbert(a, b, p):
+    a, b = Fraction(a), Fraction(b)
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    alpha, ua = _ref_local_split(a, p)
+    beta, ub = _ref_local_split(b, p)
+    if p == 2:
+        u, w = ua % 8, ub % 8
+        exp = _ref_eps(u) * _ref_eps(w) + alpha * _ref_omega(w) + beta * _ref_omega(u)
+        return -1 if exp % 2 else 1
+    exp = alpha * beta * ((p - 1) // 2)
+    sym = -1 if exp % 2 else 1
+    if beta % 2:
+        sym *= legendre(ua, p)
+    if alpha % 2:
+        sym *= legendre(ub, p)
+    return sym
+
+
+class TestIntKernel:
+    PRIMES = (2, 3, 5, 7, 13, None)
+    GRID = [
+        Fraction(n, d)
+        for d in range(1, 61)
+        for n in range(-60, 61)
+        if n and gcd(abs(n), d) == 1
+    ]
+
+    @staticmethod
+    def forms(q):
+        """q as a Fraction and, when it is an integer, as an int too."""
+        return (q, q.numerator) if q.denominator == 1 else (q,)
+
+    def test_square_class_matches_fraction_path(self):
+        for p in self.PRIMES:
+            v = REAL_PLACE if p is None else PlaceQ.finite(p)
+            for q in self.GRID:
+                parity, unit = _ref_square_class(q, p)
+                for a in self.forms(q):
+                    cls = square_class(a, v)
+                    assert (cls.place, cls.parity, cls.unit) == (v, parity, unit), (a, p)
+                    assert is_local_square(a, v) is (parity == 0 and unit == 1), (a, p)
+
+    def test_hilbert_matches_fraction_path(self):
+        rng = random.Random(139)
+        ints = [Fraction(n) for n in range(-60, 61) if n]
+        pairs = [(a, b) for a in ints for b in ints[::3]]
+        pairs += [(rng.choice(self.GRID), rng.choice(self.GRID)) for _ in range(6000)]
+        for p in self.PRIMES:
+            v = REAL_PLACE if p is None else PlaceQ.finite(p)
+            for a, b in pairs:
+                expected = _ref_hilbert(a, b, p)
+                for x in self.forms(a):
+                    for y in self.forms(b):
+                        assert hilbert(x, y, v) == expected, (x, y, p)
