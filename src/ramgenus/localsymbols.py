@@ -105,35 +105,29 @@ class LocalSquareClass:
         return label * p if self.parity else label
 
 
-def square_class(a: Fraction | int, v: PlaceQ) -> LocalSquareClass:
-    """The class of nonzero a in Q_v^x modulo squares."""
+def _class_parts(a: Fraction | int, p: int | None) -> tuple[int, int]:
+    """(parity, unit) of nonzero a in Q_p^x modulo squares, as
+    ``LocalSquareClass`` stores them; p is None at the real place."""
     n, d = _num_den(a)
     if not n:
         raise ZeroValuationError("0 has no square class")
-    p = v.p
     if p is None:
-        return LocalSquareClass(v, 0, 1 if n > 0 else -1)
+        return 0, 1 if n > 0 else -1
     w, unit = _local_split(n, d, p)
     if p == 2:
-        return LocalSquareClass(v, w % 2, unit % 8)
-    return LocalSquareClass(v, w % 2, legendre(unit, p))
+        return w % 2, unit % 8
+    return w % 2, legendre(unit, p)
+
+
+def square_class(a: Fraction | int, v: PlaceQ) -> LocalSquareClass:
+    """The class of nonzero a in Q_v^x modulo squares."""
+    return LocalSquareClass(v, *_class_parts(a, v.p))
 
 
 def is_local_square(a: Fraction | int, v: PlaceQ) -> bool:
-    """Is nonzero a a square in Q_v? The same test as
-    ``square_class(a, v).is_identity()``, without building the class."""
-    n, d = _num_den(a)
-    if not n:
-        raise ZeroValuationError("0 has no square class")
-    p = v.p
-    if p is None:
-        return n > 0
-    w, unit = _local_split(n, d, p)
-    if w % 2:
-        return False
-    if p == 2:
-        return unit % 8 == 1
-    return legendre(unit, p) == 1
+    """Is nonzero a a square in Q_v? ``square_class(a, v).is_identity()``
+    without building the class."""
+    return _class_parts(a, v.p) == (0, 1)
 
 
 def _eps(u: int) -> int:
