@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd, isqrt
 
 from .errors import PrimalityRangeError, ZeroValuationError
@@ -69,50 +68,12 @@ def is_prime(n: int) -> bool:
     return not _mr_composite(n)
 
 
-def _small_primes(limit: int) -> list[int]:
-    """The primes up to limit, by the sieve of Eratosthenes."""
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for q in range(2, isqrt(limit) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytes(len(range(q * q, limit + 1, q)))
-    return list(compress(range(limit + 1), sieve))
-
-
-# primes_after sieves below this bound (its base primes stay below 2^16) and
-# tests each integer with is_prime above it
-_SIEVE_LIMIT = 1 << 32
-_SEGMENT = 1 << 16
-
-
 def primes_after(n: int):
-    """Yield the primes greater than n, in increasing order.
-
-    An incremental segmented sieve: each block [lo, hi) crosses out the
-    multiples of the primes up to sqrt(hi - 1). Blocks double in width up to
-    2^16, so a caller that takes a few small primes pays for a small block.
-    """
-    lo, width = max(n + 1, 2), 64
-    base: list[int] = []
-    base_limit = 1
-    while lo < _SIEVE_LIMIT:
-        hi = min(lo + width, _SIEVE_LIMIT)
-        root = isqrt(hi - 1)
-        if root > base_limit:
-            base_limit = min(max(root, 2 * base_limit), isqrt(_SIEVE_LIMIT))
-            base = _small_primes(base_limit)
-        block = bytearray(b"\x01") * (hi - lo)
-        for q in base:
-            if q > root:
-                break
-            start = max(q * q, -(-lo // q) * q) - lo
-            block[start::q] = bytes(len(range(start, hi - lo, q)))
-        yield from compress(range(lo, hi), block)
-        lo, width = hi, min(2 * width, _SEGMENT)
+    """Yield the primes greater than n, in increasing order."""
     while True:
-        if is_prime(lo):
-            yield lo
-        lo += 1
+        n += 1
+        if is_prime(n):
+            yield n
 
 
 def _brent_rho(n: int) -> int:

@@ -225,8 +225,7 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 # that never reach the criterion die out by level k because some coordinate of
 # a primitive triple is a unit, which caps e at v(2) + max(v(a), v(b)). The
 # search runs on the reduced entries, whose valuations are 0 or 1, so the
-# depth k = 2 * max(v(a), v(b), 1) + 3 (+ 6 at p = 2, a mod-8 lifting margin)
-# does not grow with the valuations of the caller's entries.
+# depth is fixed: k = 5, or k = 8 at p = 2 (a mod-8 lifting margin).
 #
 # Scaling a triple by a unit changes neither f = 0 mod p^j nor the gradient
 # valuations, so the search keeps one triple per scaling class, the one whose
@@ -271,7 +270,7 @@ def _projective_points(p: int):
 
 @functools.lru_cache(maxsize=None)
 def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int) -> int:
-    k = 2 * max(va, vb, 1) + (6 if p == 2 else 3)
+    k = 8 if p == 2 else 5
     a = p**va * ua
     b = p**vb * ub
 
