@@ -27,16 +27,9 @@ from .brauerq import (
     enumerate_unramified,
     ramification_set,
 )
-from .elliptic import WeierstrassCurve, elliptic_genus_bound
+from .elliptic import WeierstrassCurve, elliptic_genus_bound, s_unit_square_classes
 from .errors import ParseError, RamgenusError
-from .funcfield import (
-    UNRESOLVED,
-    RationalFunction,
-    SymbolAlgebraFF,
-    genus_bound,
-    ram_V,
-    ram_V_over_Q,
-)
+from .funcfield import UNRESOLVED, RationalFunction, SymbolAlgebraFF, genus_bound, residues
 from .localsymbols import REAL_PLACE, PlaceQ, hilbert, hilbert_oracle
 from .qpoly import PolyQ
 
@@ -130,9 +123,6 @@ class _Parser:
         if tok.kind != kind:
             raise ParseError(f"expected {kind!r}", self.text, tok.pos)
         return self.next()
-
-    def fail(self, message: str):
-        raise ParseError(message, self.text, self.peek().pos)
 
     # expression grammar over Q(x)
 
@@ -540,7 +530,7 @@ def _cmd_unramified_group(args) -> Report:
         command="unramified-group",
         inputs={"places": args.places},
         result={
-            "classes": ["{" + ", ".join(str(v) for v in ram) + "}" for ram in classes],
+            "classes": [str(ram) for ram in classes],
             "count": len(classes),
             "expected_count": 2 ** (len(set(places)) - 1),
         },
@@ -559,15 +549,14 @@ def _cmd_unramified_group(args) -> Report:
 
 def _cmd_ff_ramify(args) -> Report:
     D = _symbol(args.algebra, "ff-ramify")
-    if D.char > 0:
-        entries = [{"place": str(w), "certainty": "proven"} for w in ram_V(D)]
-    else:
-        entries = []
-        for res in ram_V_over_Q(D):
-            entry = {"place": str(res.place), "certainty": res.certainty}
-            if res.witness_prime is not None:
-                entry["witness_prime"] = res.witness_prime
-            entries.append(entry)
+    entries = []
+    for res in residues(D):
+        if res.ramified is False:
+            continue
+        entry = {"place": str(res.place), "certainty": res.certainty}
+        if res.witness_prime is not None:
+            entry["witness_prime"] = res.witness_prime
+        entries.append(entry)
     unresolved = any(e["certainty"] == UNRESOLVED for e in entries)
     return Report(
         command="ff-ramify",
@@ -584,7 +573,7 @@ def _cmd_ff_ramify(args) -> Report:
 
 def _cmd_genus_bound(args) -> Report:
     D = _symbol(args.algebra, "genus-bound")
-    bound = genus_bound(D, args.unramified_order)
+    bound = genus_bound(D)
     if D.char > 0:
         unram_note = "unramified Brauer group of F_p(x) is trivial (factor 1)"
     else:
@@ -625,7 +614,6 @@ def _cmd_elliptic_bound(args) -> Report:
     extra = parse_places(args.extra_places) if args.extra_places else []
     report_data = elliptic_genus_bound(curve, extra)
     S = report_data.S
-    unit_base = 2 ** (1 + S.finite_count)
     return Report(
         command="elliptic-bound",
         inputs={"curve": args.curve, "extra_places": args.extra_places or ""},
@@ -642,7 +630,7 @@ def _cmd_elliptic_bound(args) -> Report:
             "two_power": report_data.two_power,
             "cl_factor": report_data.cl_factor,
             "unit_factor": report_data.unit_factor,
-            "breakdown": f"{report_data.two_power} * {report_data.cl_factor} * {unit_base}^2",
+            "breakdown": f"{report_data.two_power} * {report_data.cl_factor} * {s_unit_square_classes(S)}^2",
         },
         provenance=[
             "bound = 2^(|S|-t) * |2-torsion of the S-class group|^2 * "
@@ -742,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
         "genus-bound", parents=[common], help="genus-size bound for a symbol algebra"
     )
     p.add_argument("algebra")
-    p.add_argument(
-        "--unramified-order",
-        type=int,
-        default=None,
-        help="override |unramified n-torsion| (defaults to the known value)",
-    )
     p.set_defaults(func=_cmd_genus_bound)
 
     p = sub.add_parser(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RamgenusError
-from .exactarith import factor, valuation
+from .exactarith import factor
 from .localsymbols import REAL_PLACE, PlaceQ
 from .qpoly import PolyQ, rational_roots
 
@@ -140,10 +140,7 @@ def build_S(curve: WeierstrassCurve, extra=()) -> ExceptionalSet:
         add(PlaceQ.finite(p), DIVIDES_DISCRIMINANT)
     denom_primes: set[int] = set()
     for coeff in (curve.alpha, curve.beta, curve.gamma):
-        if coeff != 0:
-            denom_primes.update(
-                p for p in factor(coeff.denominator).primes() if valuation(coeff, p) < 0
-            )
+        denom_primes.update(factor(coeff.denominator).primes())
     for p in sorted(denom_primes):
         add(PlaceQ.finite(p), NEGATIVE_COEFFICIENT_VALUATION)
     for v in extra:

@@ -200,7 +200,7 @@ class RationalFunction:
         """
         if place.is_infinite:
             model = self.at_infinity_model()
-            return model.residue_at(FFPlace.finite(self.num._like((0, 1))))
+            return model.residue_at(FFPlace._from_factor(self.num._like((0, 1))))
         pi = place.pi
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
@@ -320,7 +320,7 @@ def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
     if w.is_infinite:
         a = D.a.at_infinity_model()
         b = D.b.at_infinity_model()
-        w = FFPlace.finite(a.num._like((0, 1)))
+        w = FFPlace._from_factor(a.num._like((0, 1)))
     else:
         a, b = D.a, D.b
     va, vb = a.valuation_at(w), b.valuation_at(w)
@@ -336,28 +336,26 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
 
     The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a) is formed in k[x]/(pi)
     from the valuations v and the unit parts u of the entries at pi; it
-    equals ``tame_symbol(D, w).residue_at(w)``.
+    equals ``tame_symbol(D, w).residue_at(w)``. At the degree place the
+    entries are read through x -> 1/x, with pi = x.
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
     if w.is_infinite:
-        model = SymbolAlgebraFF(D.n, D.a.at_infinity_model(), D.b.at_infinity_model())
-        inner = tame_residue(model, FFPlace.finite(D.a.num._like((0, 1))))
-        return TameResidue(
-            w, inner.residue_class, inner.ramified, inner.certainty, inner.witness_prime
-        )
-    pi = w.pi
-    va, ua = _valuation_and_unit(D.a, pi)
-    vb, ub = _valuation_and_unit(D.b, pi)
+        a, b = D.a.at_infinity_model(), D.b.at_infinity_model()
+        pi = a.num._like((0, 1))
+    else:
+        a, b, pi = D.a, D.b, w.pi
+    va, ua = _valuation_and_unit(a, pi)
+    vb, ub = _valuation_and_unit(b, pi)
     residue = ua.pow_mod(vb, pi) * ub.pow_mod(-va, pi) % pi
     if va * vb % 2:
         residue = -residue
     if D.char > 0:
-        trivial = residue_class_is_nth_power(residue, w.pi, D.n)
-        return TameResidue(w, residue, not trivial)
+        return TameResidue(w, residue, not residue_class_is_nth_power(residue, pi, D.n))
     if D.n != 2:
         raise UnsupportedFieldError("over Q(x) only degree-2 symbols are supported")
-    return _decide_square_over_q(w, residue)
+    return _decide_square_over_q(w, pi, residue)
 
 
 # The square scan over Q(x) stops, unresolved, after square images at
@@ -366,7 +364,7 @@ _SQUARE_PRIMES = 30
 _SQUARE_ATTEMPTS = 400
 
 
-def _decide_square_over_q(w: FFPlace, residue: PolyQ) -> TameResidue:
+def _decide_square_over_q(w: FFPlace, pi: PolyQ, residue: PolyQ) -> TameResidue:
     """Squareness of a residue in Q[x]/(pi), one-sided exactly.
 
     deg pi = 1: the residue field is Q, decided exactly. Otherwise reduce
@@ -375,7 +373,6 @@ def _decide_square_over_q(w: FFPlace, residue: PolyQ) -> TameResidue:
     square images at ``_SQUARE_PRIMES`` good primes is only evidence,
     reported as unresolved rather than asserted unramified.
     """
-    pi = w.pi
     if pi.degree == 1:
         value = residue.constant_value()
         return TameResidue(w, value, not is_rational_square(value))
@@ -401,22 +398,23 @@ def _decide_square_over_q(w: FFPlace, residue: PolyQ) -> TameResidue:
     return TameResidue(w, residue, None, UNRESOLVED)
 
 
-def _candidate_places(D: SymbolAlgebraFF) -> list[FFPlace]:
+def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
+    """The residue at every candidate place: the places dividing an entry,
+    and the degree place.
+
+    Outside them both entries are units and the tame symbol is 1, so a place
+    missing from the list is provably unramified.
+    """
     places = {p for p, _ in places_of(D.a)} | {p for p, _ in places_of(D.b)}
     places.add(FFPlace.infinity(D.char))
-    return sorted(places, key=lambda p: p.sort_key())
+    return [tame_residue(D, w) for w in sorted(places, key=FFPlace.sort_key)]
 
 
 def ram_V(D: SymbolAlgebraFF) -> list[FFPlace]:
-    """All geometric places where the symbol algebra over F_p(x) ramifies.
-
-    Outside the places dividing an entry (and infinity) both entries are
-    units and the tame symbol is 1, so the candidate set is finite and
-    provably complete.
-    """
+    """All geometric places where the symbol algebra over F_p(x) ramifies."""
     if D.char == 0:
         raise UnsupportedFieldError("use ram_V_over_Q for symbols over Q(x)")
-    return [w for w in _candidate_places(D) if tame_residue(D, w).ramified]
+    return [res.place for res in residues(D) if res.ramified]
 
 
 def ram_V_over_Q(D: SymbolAlgebraFF) -> list[TameResidue]:
@@ -429,24 +427,20 @@ def ram_V_over_Q(D: SymbolAlgebraFF) -> list[TameResidue]:
     """
     if D.char != 0:
         raise UnsupportedFieldError("ram_V_over_Q expects entries in Q(x)")
-    if D.n != 2:
-        raise UnsupportedFieldError("over Q(x) only degree-2 symbols are supported")
-    out = []
-    for w in _candidate_places(D):
-        res = tame_residue(D, w)
-        if res.ramified is True or res.ramified is None:
-            out.append(res)
-    return out
+    return [res for res in residues(D) if res.ramified is not False]
 
 
 @dataclass(frozen=True)
 class FFGenusBound:
     """Genus-size bound |nBr(K)_V| * phi(n)^r for a symbol algebra over k(x).
 
-    Over a finite base field the unramified group is trivial; over Q the
-    constant-field reduction gives factor 1 for exponent-2 algebras. Any
-    places with an unresolved square test are carried along for reporting
-    (they cannot change the bound when n = 2, since phi(2) = 1).
+    The unramified factor is 1 on both supported base fields. Over F_p(x),
+    Faddeev's exact sequence sends every class unramified at all places,
+    infinity included, to Br(F_p) = 0. Over Q(x) with n = 2, quaternion
+    algebras over Q have trivial genus, and the Stability Theorem of
+    Rapinchuk-Rapinchuk carries that to Q(x). Places with an unresolved
+    square test are carried along for reporting; they cannot change the
+    bound when n = 2, since phi(2) = 1.
     """
 
     bound: int
@@ -458,36 +452,23 @@ class FFGenusBound:
     unresolved: tuple[FFPlace, ...] = ()
 
 
-def genus_bound(D: SymbolAlgebraFF, unramified_order: int | None = None) -> FFGenusBound:
+def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:
     """Bound on the number of same-maximal-subfield classes of the symbol.
 
-    bound = |unramified n-torsion| * phi(n)^r with r the number of ramified
-    geometric places. The unramified order is filled in automatically: 1 for
-    finite base fields, and 1 for exponent-2 algebras over Q(x); other base
-    field / degree combinations must supply it explicitly.
+    bound = phi(n)^r with r the number of ramified geometric places; the
+    unramified factor is 1 (see ``FFGenusBound``). Over Q(x) only n = 2 is
+    supported.
     """
-    if unramified_order is not None and unramified_order < 1:
-        raise ValueError("unramified order must be a positive integer")
-    order = 1 if unramified_order is None else unramified_order
-    if D.char > 0:
-        ramified = tuple(ram_V(D))
-        unresolved: tuple[FFPlace, ...] = ()
-    else:
-        if D.n != 2:
-            raise UnsupportedFieldError(
-                "over Q(x) only exponent-2 bounds are supported"
-            )
-        entries = ram_V_over_Q(D)
-        ramified = tuple(e.place for e in entries if e.ramified)
-        unresolved = tuple(e.place for e in entries if e.ramified is None)
-    r = len(ramified)
-    phi_factor = euler_phi(D.n) ** r
+    entries = residues(D)
+    ramified = tuple(e.place for e in entries if e.ramified)
+    unresolved = tuple(e.place for e in entries if e.ramified is None)
+    phi_factor = euler_phi(D.n) ** len(ramified)
     return FFGenusBound(
-        bound=order * phi_factor,
-        unramified_order=order,
+        bound=phi_factor,
+        unramified_order=1,
         phi_factor=phi_factor,
         n=D.n,
-        r=r,
+        r=len(ramified),
         ramified=ramified,
         unresolved=unresolved,
     )

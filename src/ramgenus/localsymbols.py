@@ -327,8 +327,8 @@ def hilbert_oracle(
 
     Drops even powers of p from both entries, then searches for primitive
     solutions of z^2 = a x^2 + b y^2 modulo p^k, k = 5 (odd p) or 8 (p = 2),
-    accepting via the nonsingular Hensel criterion. Entries must satisfy
-    |v_p| <= 4.
+    accepting via the nonsingular Hensel criterion. The reduced entries have
+    valuation 0 or 1, so entries of any valuation are accepted.
     """
     an, ad = _num_den(a)
     bn, bd = _num_den(b)
@@ -342,7 +342,5 @@ def hilbert_oracle(
         raise ValueError("p = 2 requires allow_dyadic=True (mod-8 criterion)")
     va, ua = _local_split(an, ad, p)
     vb, ub = _local_split(bn, bd, p)
-    if abs(va) > 4 or abs(vb) > 4:
-        raise ValueError("oracle supports |v_p(entry)| <= 4 only")
     m = 8 if p == 2 else p  # units congruent mod m share a square class
     return _oracle_search(p, va % 2, ua % m, vb % 2, ub % m)

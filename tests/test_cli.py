@@ -141,13 +141,6 @@ class TestCommands:
         assert report.result["bound"] == 2**r
         assert report.factors["phi_factor"] == 2**r
 
-    def test_genus_bound_explicit_order(self):
-        report, _, _ = run(
-            ["genus-bound", "(x, x; n=2, k=F3)", "--unramified-order", "8"]
-        )
-        assert report.result["bound"] == 8
-        assert report.factors["unramified_order"] == 8
-
     def test_elliptic_bound(self):
         report, status, _ = run(["elliptic-bound", "y^2 = x^3 - x"])
         assert status == EXIT_OK
@@ -190,6 +183,13 @@ class TestMainExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "ramify"
         assert doc["result"]["ramified_places"] == ["2", "3"]
+
+    def test_unramified_order_flag_rejected(self, capsys):
+        # the unramified factor is known (1) on every supported base field
+        with pytest.raises(SystemExit) as exc:
+            main(["genus-bound", "(x, x; n=2, k=F3)", "--unramified-order", "8"])
+        assert exc.value.code == 2
+        assert "--unramified-order" in capsys.readouterr().err
 
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

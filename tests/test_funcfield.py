@@ -132,6 +132,22 @@ class TestTameResidue:
         res = tame_residue(D, w)
         assert res.ramified is False
 
+    def test_degree_place_runs_no_irreducibility_test(self, monkeypatch):
+        # the degree place is read through x -> 1/x at pi = x, which needs no
+        # model algebra and no validated place
+        import ramgenus.funcfield as ff
+
+        calls = []
+        for name in ("is_irreducible_fp", "is_irreducible_q"):
+            real = getattr(ff, name)
+            monkeypatch.setattr(ff, name, lambda f, real=real: calls.append(f) or real(f))
+        x3, xq = rf_fp(3, (0, 1)), rf_q([0, 1])
+        res_fp = tame_residue(SymbolAlgebraFF(2, x3, x3), FFPlace.infinity(3))
+        res_q = tame_residue(SymbolAlgebraFF(2, rf_q([-2, 0, 0, 1]), xq), FFPlace.infinity(0))
+        assert res_fp.ramified is True and res_fp.residue_class == PolyFp.constant(3, 2)
+        assert res_q.ramified is True and res_q.residue_class == -1
+        assert calls == []
+
     def test_square_constant_splits_everywhere(self):
         rng = random.Random(89)
         for p in (3, 5, 7):
@@ -355,11 +371,6 @@ class TestGenusBound:
         x = rf_q([0, 1])
         out = genus_bound(SymbolAlgebraFF(2, x, x))
         assert out.bound == 1
-
-    def test_explicit_unramified_order(self):
-        D = SymbolAlgebraFF(3, rf_fp(7, (0, 1)), rf_fp(7, (1, 1)))
-        out = genus_bound(D, unramified_order=4)
-        assert out.bound == 4 * 2**out.r
 
     def test_char_mismatch_rejected(self):
         with pytest.raises(UnsupportedFieldError):

@@ -168,9 +168,18 @@ class TestOracle:
             2, 3, PlaceQ.finite(2)
         )
 
-    def test_valuation_cap(self):
-        with pytest.raises(ValueError):
-            hilbert_oracle(3**5, 2, 3)
+    def test_agreement_at_any_valuation(self):
+        # the search runs on the reduced entries, so no valuation is out of reach
+        units = [Fraction(u) for u in (-7, -3, -1, 1, 2, 3, 5)]
+        units += [Fraction(1, 3), Fraction(-5, 7), Fraction(11, 5)]
+        for p in (2, 3, 5, 7):
+            v = PlaceQ.finite(p)
+            pu = [u for u in units if u.numerator % p and u.denominator % p]
+            entries = [u * Fraction(p) ** e for u in pu for e in range(-9, 10)]
+            for a in entries:
+                for b in entries[::7]:
+                    got = hilbert_oracle(a, b, p, allow_dyadic=p == 2)
+                    assert got == hilbert(a, b, v), (a, b, p)
 
     def test_entries_share_a_cache_entry_across_odd_valuations(self):
         # the search runs on reduced entries, so p^3 u and p u reach the same
