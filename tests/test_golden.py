@@ -1,9 +1,9 @@
 """CLI output pinned byte for byte.
 
 ``golden/cli.json`` holds, for every README CLI example and a few edge
-inputs (unresolved squares over Q(x), degree-3 bounds, extra places, equal
-classes, error exits), each in both output formats: the argv, the format,
-the exit status and the exact stdout of ``cli.main``.
+inputs (unresolved squares and witness primes over Q(x), degree-3 bounds,
+extra places, equal classes, error exits), each in both output formats:
+the argv, the format, the exit status and the exact stdout of ``cli.main``.
 """
 
 import json
