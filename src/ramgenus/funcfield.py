@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .errors import UnsupportedFieldError, ZeroValuationError
-from .exactarith import euler_phi, is_prime, is_rational_square, primes_after
+from .exactarith import euler_phi, is_prime, is_rational_square
 from .gfpoly import (
     PolyFp,
     fq_inv,
@@ -27,10 +26,7 @@ from .gfpoly import (
     poly_factor_fp,
     residue_class_is_nth_power,
 )
-from .qpoly import PolyQ, factor_q, is_irreducible_q
-
-PROVEN = "proven"
-UNRESOLVED = "unresolved-square"
+from .qpoly import PolyQ, factor_q, is_irreducible_q, is_square_mod
 
 
 @dataclass(frozen=True)
@@ -298,21 +294,16 @@ class SymbolAlgebraFF:
 class TameResidue:
     """Residue data of a symbol algebra at one place.
 
-    ``ramified`` is None only over Q when the n-th-power test could not be
-    settled (certainty UNRESOLVED); otherwise the verdict is proven.
-    ``residue_class`` is the tame-symbol image in the residue field (a
-    polynomial of degree < deg pi, or a base-field constant at infinity).
+    ``ramified`` is a proven verdict. ``residue_class`` is the tame-symbol
+    image in the residue field (a polynomial of degree < deg pi, or a
+    base-field constant at infinity and at degree-1 places over Q).
+    ``certainty`` is a constant that ``bench/function_fields.py`` still reads.
     """
 
     place: FFPlace
     residue_class: object
-    ramified: bool | None
-    certainty: str = PROVEN
-    witness_prime: int | None = None
-
-    @property
-    def unramified(self) -> bool | None:
-        return None if self.ramified is None else not self.ramified
+    ramified: bool
+    certainty = "proven"
 
 
 def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
@@ -337,7 +328,9 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a) is formed in k[x]/(pi)
     from the valuations v and the unit parts u of the entries at pi; it
     equals ``tame_symbol(D, w).residue_at(w)``. At the degree place the
-    entries are read through x -> 1/x, with pi = x.
+    entries are read through x -> 1/x, with pi = x. Over Q(x) squareness is
+    decided exactly: by ``is_rational_square`` where the residue field is Q,
+    by Trager's norm method (``qpoly.is_square_mod``) above degree 1.
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
@@ -352,50 +345,15 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     if va * vb % 2:
         residue = -residue
     if D.char > 0:
-        return TameResidue(w, residue, not residue_class_is_nth_power(residue, pi, D.n))
-    if D.n != 2:
+        ramified = not residue_class_is_nth_power(residue, pi, D.n)
+    elif D.n != 2:
         raise UnsupportedFieldError("over Q(x) only degree-2 symbols are supported")
-    return _decide_square_over_q(w, pi, residue)
-
-
-# The square scan over Q(x) stops, unresolved, after square images at
-# _SQUARE_PRIMES good primes, and looks at no more than _SQUARE_ATTEMPTS primes.
-_SQUARE_PRIMES = 30
-_SQUARE_ATTEMPTS = 400
-
-
-def _decide_square_over_q(w: FFPlace, pi: PolyQ, residue: PolyQ) -> TameResidue:
-    """Squareness of a residue in Q[x]/(pi), one-sided exactly.
-
-    deg pi = 1: the residue field is Q, decided exactly. Otherwise reduce
-    modulo good primes q (pi stays irreducible, everything q-integral and
-    nonzero): a nonsquare image at a single good q proves ramification, while
-    square images at ``_SQUARE_PRIMES`` good primes is only evidence,
-    reported as unresolved rather than asserted unramified.
-    """
-    if pi.degree == 1:
-        value = residue.constant_value()
-        return TameResidue(w, value, not is_rational_square(value))
-    if residue.is_constant() and is_rational_square(residue.constant_value()):
-        # a rational square is a square in every extension field
-        return TameResidue(w, residue, False)
-    squares_seen = 0
-    for q in islice(primes_after(2), _SQUARE_ATTEMPTS):
-        try:
-            pi_q = pi.reduce_mod(q)
-            if pi_q.degree != pi.degree or not is_irreducible_fp(pi_q):
-                continue
-            res_q = residue.reduce_mod(q)
-        except ZeroDivisionError:
-            continue
-        if (res_q % pi_q).is_zero():
-            continue
-        if not residue_class_is_nth_power(res_q, pi_q, 2):
-            return TameResidue(w, residue, True, PROVEN, q)
-        squares_seen += 1
-        if squares_seen >= _SQUARE_PRIMES:
-            break
-    return TameResidue(w, residue, None, UNRESOLVED)
+    elif pi.degree == 1:
+        residue = residue.constant_value()
+        ramified = not is_rational_square(residue)
+    else:
+        ramified = not is_square_mod(residue, pi)
+    return TameResidue(w, residue, ramified)
 
 
 def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
@@ -411,23 +369,16 @@ def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
 
 
 def ram_V(D: SymbolAlgebraFF) -> list[FFPlace]:
-    """All geometric places where the symbol algebra over F_p(x) ramifies."""
-    if D.char == 0:
-        raise UnsupportedFieldError("use ram_V_over_Q for symbols over Q(x)")
+    """All geometric places where the symbol algebra over k(x) ramifies."""
     return [res.place for res in residues(D) if res.ramified]
 
 
 def ram_V_over_Q(D: SymbolAlgebraFF) -> list[TameResidue]:
-    """Ramified and unresolved places of a quaternion symbol over Q(x).
-
-    Entries are the places proven ramified (certainty "proven", possibly with
-    the witnessing reduction prime) plus any place where the square test was
-    inconclusive (certainty "unresolved-square"). Proven-unramified places
-    are omitted.
-    """
+    """The residues at the places where a quaternion symbol over Q(x)
+    ramifies: ``ram_V`` with the residue data kept."""
     if D.char != 0:
         raise UnsupportedFieldError("ram_V_over_Q expects entries in Q(x)")
-    return [res for res in residues(D) if res.ramified is not False]
+    return [res for res in residues(D) if res.ramified]
 
 
 @dataclass(frozen=True)
@@ -438,9 +389,8 @@ class FFGenusBound:
     Faddeev's exact sequence sends every class unramified at all places,
     infinity included, to Br(F_p) = 0. Over Q(x) with n = 2, quaternion
     algebras over Q have trivial genus, and the Stability Theorem of
-    Rapinchuk-Rapinchuk carries that to Q(x). Places with an unresolved
-    square test are carried along for reporting; they cannot change the
-    bound when n = 2, since phi(2) = 1.
+    Rapinchuk-Rapinchuk carries that to Q(x). ``unresolved`` is an empty
+    constant that ``bench/function_fields.py`` still reads.
     """
 
     bound: int
@@ -449,7 +399,7 @@ class FFGenusBound:
     n: int
     r: int
     ramified: tuple[FFPlace, ...]
-    unresolved: tuple[FFPlace, ...] = ()
+    unresolved = ()
 
 
 def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:
@@ -459,9 +409,7 @@ def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:
     unramified factor is 1 (see ``FFGenusBound``). Over Q(x) only n = 2 is
     supported.
     """
-    entries = residues(D)
-    ramified = tuple(e.place for e in entries if e.ramified)
-    unresolved = tuple(e.place for e in entries if e.ramified is None)
+    ramified = tuple(e.place for e in residues(D) if e.ramified)
     phi_factor = euler_phi(D.n) ** len(ramified)
     return FFGenusBound(
         bound=phi_factor,
@@ -470,5 +418,4 @@ def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:
         n=D.n,
         r=len(ramified),
         ramified=ramified,
-        unresolved=unresolved,
     )

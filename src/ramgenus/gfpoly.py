@@ -201,10 +201,9 @@ class _Poly:
                 continue
             if i == 0:
                 parts.append(str(c))
-            elif i == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
-            else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
+                continue
+            coeff = {1: "", -1: "-"}.get(c, f"{c}*")
+            parts.append(coeff + ("x" if i == 1 else f"x^{i}"))
         return " + ".join(parts).replace("+ -", "- ")
 
     def sort_key(self) -> tuple:

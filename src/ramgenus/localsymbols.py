@@ -207,9 +207,6 @@ class LocalInvariant:
     def __add__(self, other: "LocalInvariant") -> "LocalInvariant":
         return LocalInvariant((self.value + other.value) % 1)
 
-    def is_trivial(self) -> bool:
-        return self.value == 0
-
 
 def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant:
     """inv_v of the class of (a,b): 0 if split at v, 1/2 otherwise."""

@@ -7,8 +7,9 @@ in Z[x] on the primitive integer model (Zassenhaus 1969; von zur
 Gathen-Gerhard, Modern Computer Algebra, ch. 15): squarefree parts,
 factorization modulo a small prime with ``gfpoly.poly_factor_fp``,
 quadratic Hensel lifting past a Mignotte bound, and recombination of lifted
-factors checked by exact division. It is self-contained: no computer-algebra
-system is imported.
+factors checked by exact division. The same factorizer decides squareness in
+a number field Q[x]/(pi) through Trager's norm method. It is self-contained:
+no computer-algebra system is imported.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb, isqrt
 from math import gcd as int_gcd
 
 from .errors import ZeroValuationError
-from .exactarith import primes_after
+from .exactarith import is_rational_square, primes_after
 from .gfpoly import PolyFp, _add_mod, _Poly, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
 
 
@@ -383,3 +384,44 @@ def rational_roots(f: PolyQ) -> list[Fraction]:
         raise ZeroValuationError("every rational is a root of 0")
     _, parts = factor_q(f)
     return sorted(-g.coeffs[0] for g, _ in parts if g.degree == 1)
+
+
+def _char_poly(r: PolyQ, pi: PolyQ) -> PolyQ:
+    """The characteristic polynomial of multiplication by r on Q[x]/(pi), pi
+    monic, from the traces of r^k by Newton's identities."""
+    d = pi.degree
+    b = pi.coeffs[::-1]  # pi = x^d + b[1] x^(d-1) + ... + b[d]
+    tr_x = [Fraction(d)]  # Tr(x^j), the power sums of the roots of pi
+    for j in range(1, d):
+        tr_x.append(-j * b[j] - sum(b[i] * tr_x[j - i] for i in range(1, j)))
+    traces, c = [tr_x[0]], [Fraction(1)]  # M = y^d + c[1] y^(d-1) + ... + c[d]
+    power = r._like((1,))
+    for k in range(1, d + 1):
+        power = power * r % pi
+        traces.append(sum(a * t for a, t in zip(power.coeffs, tr_x)))
+        c.append(-sum(c[i] * traces[k - i] for i in range(k)) / k)
+    return PolyQ(tuple(reversed(c)))
+
+
+def is_square_mod(r: PolyQ, pi: PolyQ) -> bool:
+    """Is r a square in K = Q[x]/(pi)?  Exact, for pi monic irreducible
+    over Q and r nonzero modulo pi.
+
+    With M the characteristic polynomial of r on K, d = deg pi, a square has
+    a square norm (-1)^d M(0); this settles most nonsquares. Otherwise r is
+    multiplied by squares (1 + s x)^2 until M is squarefree (at most d(d-1)
+    values of s fail), so that r generates K with minimal polynomial M. Then
+    r is a square exactly when the norm M(y^2) of y^2 - r is reducible over Q
+    (Trager, SYMSAC 1976). M(y^2) is squarefree: its roots are the square
+    roots of the distinct nonzero conjugates of r.
+    """
+    M = _char_poly(r, pi)
+    if not is_rational_square((-1) ** pi.degree * M.constant_value()):
+        return False
+    s = 0
+    while M.gcd(M.derivative()).degree > 0:
+        s += 1
+        c = PolyQ.of((1, s))
+        M = _char_poly(r * c * c % pi, pi)
+    _, ints = PolyQ(tuple(v for a in M.coeffs for v in (a, 0))).integer_model()
+    return len(_factor_squarefree(list(ints))) > 1

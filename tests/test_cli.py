@@ -9,7 +9,6 @@ from ramgenus.cli import (
     EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     EXIT_PRECONDITION,
-    EXIT_UNRESOLVED,
     Report,
     main,
     parse_algebra,
@@ -122,18 +121,35 @@ class TestCommands:
         assert [e["place"] for e in report.result["ramified_places"]] == ["(x)", "inf"]
 
     def test_ff_ramify_unresolved_exit_code(self):
+        # 2 is a square modulo x^2 - 2 though not in Q: a proven verdict,
+        # where a prime scan could only leave the place unresolved
         report, status, _ = run(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"])
-        assert status == EXIT_UNRESOLVED
-        assert any(
-            e["certainty"] == "unresolved-square"
-            for e in report.result["ramified_places"]
-        )
+        assert status == EXIT_OK
+        assert report.result == {"ramified_places": [], "count": 0}
 
     def test_genus_bound(self):
         report, status, _ = run(["genus-bound", "(x, x; n=2, k=F3)"])
         assert status == EXIT_OK
         assert report.result["bound"] == 1
         assert report.factors == {"unramified_order": 1, "phi_factor": 1}
+
+    @pytest.mark.parametrize(
+        "algebra, note",
+        [
+            ("(x, x; n=2, k=F3)", "unramified Brauer group of F_p(x) is trivial (factor 1)"),
+            (
+                "(2, x^2 - 2; n=2, k=Q)",
+                "Stability Theorem (Rapinchuk-Rapinchuk): quaternion algebras over Q(x) "
+                "have trivial genus (factor 1; the unramified 2-torsion 2Br(Q) is infinite)",
+            ),
+        ],
+    )
+    def test_genus_bound_grounding_per_base_field(self, algebra, note):
+        # over Q(x) the factor 1 is not a group order: 2Br(Q) is infinite
+        report, status, _ = run(["genus-bound", algebra])
+        assert status == EXIT_OK and report.factors["unramified_order"] == 1
+        assert report.provenance[1] == note
+        assert report.inline_notes["unramified_order"] == note
 
     def test_genus_bound_degree_three(self):
         report, _, _ = run(["genus-bound", "(x, x + 1; n=3, k=F7)"])
@@ -175,8 +191,9 @@ class TestMainExitCodes:
         assert main(["embed", "10", "(1, 5)"]) == EXIT_PRECONDITION
         assert "error" in capsys.readouterr().err
 
-    def test_unresolved_square(self):
-        assert main(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"]) == EXIT_UNRESOLVED
+    def test_unresolved_square(self, capsys):
+        assert main(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"]) == EXIT_OK
+        assert "count: 0" in capsys.readouterr().out
 
     def test_structured_format(self, capsys):
         assert main(["ramify", "(-1,3)", "--format", "structured"]) == EXIT_OK

@@ -5,8 +5,6 @@ import pytest
 
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.funcfield import (
-    PROVEN,
-    UNRESOLVED,
     FFPlace,
     RationalFunction,
     SymbolAlgebraFF,
@@ -14,6 +12,7 @@ from ramgenus.funcfield import (
     places_of,
     ram_V,
     ram_V_over_Q,
+    residues,
     tame_residue,
     tame_symbol,
 )
@@ -124,7 +123,7 @@ class TestTameResidue:
         res = tame_residue(D, w)
         # t = -1 = 2 mod (x); squares mod 3 are {1}, so ramified
         assert res.residue_class == PolyFp.constant(3, 2)
-        assert res.ramified is True and res.certainty == PROVEN
+        assert res.ramified is True
 
     def test_unit_entries_unramified(self):
         D = SymbolAlgebraFF(2, rf_fp(3, (0, 1)), rf_fp(3, (0, 1)))
@@ -292,10 +291,7 @@ class TestRamVOverQ:
     def test_x_x(self):
         x = rf_q([0, 1])
         out = ram_V_over_Q(SymbolAlgebraFF(2, x, x))
-        assert [(str(r.place), r.certainty) for r in out] == [
-            ("(x)", PROVEN),
-            ("inf", PROVEN),
-        ]
+        assert [(str(r.place), r.ramified) for r in out] == [("(x)", True), ("inf", True)]
 
     def test_shifted_pair(self):
         a, b = rf_q([-1, 1]), rf_q([1, 1])
@@ -308,7 +304,7 @@ class TestRamVOverQ:
         res = by_place["(x - 1)"]
         # tame symbol reduces to 1/2, the square class of 2: a proven nonsquare
         assert res.residue_class == Fraction(1, 2)
-        assert res.ramified is True and res.certainty == PROVEN
+        assert res.ramified is True
 
     def test_square_constant_entry(self):
         D = SymbolAlgebraFF(2, rf_q([Fraction(9, 4)]), rf_q([3, 0, 1]))
@@ -316,31 +312,46 @@ class TestRamVOverQ:
 
     def test_higher_degree_proven_via_witness(self):
         # (x, x^2 - 2) at (x^2 - 2): residue is sqrt(2), a nonsquare in
-        # Q(sqrt 2); nonsquareness shows up modulo a good prime
+        # Q(sqrt 2), whose norm -2 is already a rational nonsquare
         D = SymbolAlgebraFF(2, rf_q([0, 1]), rf_q([-2, 0, 1]))
         out = {str(r.place): r for r in ram_V_over_Q(D)}
-        res = out["(x^2 - 2)"]
-        assert res.ramified is True and res.certainty == PROVEN
-        assert res.witness_prime == 5
+        assert out["(x^2 - 2)"].ramified is True
 
     def test_unresolved_square(self):
-        # (2, x^2 - 2) at (x^2 - 2): residue 2 = (sqrt 2)^2 is an actual
-        # square in the residue field, which the one-sided test cannot
-        # certify; it must report unresolved, never "unramified"
+        # (2, x^2 - 2) at (x^2 - 2): residue 2 = (sqrt 2)^2 is a square in
+        # the residue field, though not in Q. Square images modulo primes
+        # could never prove this; the exact test shows the place unramified
         D = SymbolAlgebraFF(2, rf_q([2]), rf_q([-2, 0, 1]))
-        out = {str(r.place): r for r in ram_V_over_Q(D)}
-        res = out["(x^2 - 2)"]
-        assert res.ramified is None and res.certainty == UNRESOLVED
+        assert ram_V_over_Q(D) == []
+        assert ram_V(D) == []
 
     def test_x4_plus_1_unresolved(self):
-        # x^4 + 1 is reducible modulo every prime, so no q is good and the
-        # scan ends without a witness
+        # x^4 + 1 is reducible modulo every prime, so no reduction keeps the
+        # residue field; the exact test still proves 3 a nonsquare in Q(zeta_8)
         D = SymbolAlgebraFF(2, rf_q([3]), rf_q([1, 0, 0, 0, 1]))
-        out = {str(r.place): r for r in ram_V_over_Q(D)}
-        assert sorted(out) == ["(x^4 + 1)"]
-        res = out["(x^4 + 1)"]
-        assert res.ramified is None and res.certainty == UNRESOLVED
-        assert res.witness_prime is None
+        out = ram_V_over_Q(D)
+        assert [(str(r.place), r.ramified) for r in out] == [("(x^4 + 1)", True)]
+
+    @pytest.mark.parametrize(
+        "a, b, ramified",
+        [
+            ([1, 0, 0, 0, 0, 0, 0, 0, 1], [5], ["(x^8 + 1)"]),
+            ([1, 0, 0, 1, 0, 0, 1], [7], ["(x^6 + x^3 + 1)"]),
+            ([2], [-2, 0, 1], []),
+            (
+                [-1] + [0] * 11 + [1],
+                [3, 1],
+                ["(x + 1)", "(x + 3)", "(x^2 - x + 1)", "(x^2 + 1)", "(x^2 + x + 1)",
+                 "(x^4 - x^2 + 1)"],
+            ),
+        ],
+    )
+    def test_places_no_prime_scan_settles(self, a, b, ramified):
+        # cyclotomic places are reducible modulo every prime; (x^12 - 1, x + 3)
+        # carries the 12th cyclotomic place (x^4 - x^2 + 1)
+        D = SymbolAlgebraFF(2, rf_q(a), rf_q(b))
+        assert [str(w) for w in ram_V(D)] == ramified
+        assert all(type(r.ramified) is bool for r in residues(D))
 
     def test_rejects_higher_degree_symbols(self):
         x = rf_q([0, 1])

@@ -19,6 +19,7 @@ rf = lambda cs: RationalFunction.of(PolyQ.of(cs))
 D = SymbolAlgebraFF(2, rf([1, 3, 1]), rf([-2, 0, 0, 1]))
 ram_V_over_Q(D)
 genus_bound(D)
+assert ram_V_over_Q(SymbolAlgebraFF(2, rf([3]), rf([1, 0, 0, 0, 1])))[0].ramified
 WeierstrassCurve.from_coefficients(-7, 14, -8)
 with redirect_stdout(io.StringIO()):
     status = ramgenus.cli.main(["ff-ramify", "(x^2 + 3x + 1, x + 2; n=2, k=Q)"])

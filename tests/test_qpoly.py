@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from ramgenus.errors import ZeroValuationError
-from ramgenus.qpoly import PolyQ, factor_q, is_irreducible_q, rational_roots
+from ramgenus.qpoly import PolyQ, factor_q, is_irreducible_q, is_square_mod, rational_roots
 
 
 def random_polyq(rng, max_deg, nonzero=True):
@@ -43,6 +43,12 @@ class TestArithmetic:
         assert g.coeffs == (2, 1)  # 1/2 = 2 mod 3
         with pytest.raises(ZeroDivisionError):
             f.reduce_mod(2)
+
+    def test_str_unit_coefficients(self):
+        assert str(PolyQ.of([1, -1, 1])) == "x^2 - x + 1"
+        assert str(PolyQ.of([1, 0, -1, 0, 1])) == "x^4 - x^2 + 1"
+        assert str(PolyQ.of([-1, -1])) == "-x - 1"
+        assert str(PolyQ.of([0, 1, Fraction(-1, 2), -2])) == "-2*x^3 - 1/2*x^2 + x"
 
     def test_integer_model(self):
         f = PolyQ.of([Fraction(1, 2), Fraction(3, 4)])
@@ -183,3 +189,51 @@ class TestFactorAgainstSympy:
             assert factor_q(phi) == (Fraction(1), [(phi, 1)]), n
             xn1 = PolyQ.of([-1] + [0] * (n - 1) + [1])  # x^n - 1 = prod of Phi_d, d | n
             assert factor_q(xn1) == sympy_factor_q(xn1), n
+
+
+def random_irreducible(rng, degree, height=3):
+    """A monic irreducible polynomial of the given degree over Q."""
+    while True:
+        pi = PolyQ.of([rng.randint(-height, height) for _ in range(degree)] + [1])
+        if is_irreducible_q(pi):
+            return pi
+
+
+class TestIsSquareMod:
+    def test_against_sympy_factoring_over_the_number_field(self):
+        # the reference: does y^2 - r factor over QQ(alpha), alpha a root of pi?
+        y = sympy.Symbol("y")
+        rng = random.Random(2024)
+        verdicts = {True: 0, False: 0}
+        while min(verdicts.values()) < 20:
+            pi = random_irreducible(rng, rng.randint(2, 4))
+            t = PolyQ.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(pi.degree)])
+            r = t * t % pi if rng.random() < 0.5 else t
+            if r.is_zero():
+                continue
+            K = sympy.QQ.algebraic_field(sympy.CRootOf(sympy.Poly(pi.coeffs[::-1], y), 0))
+            assert K.mod.to_list() == list(pi.coeffs[::-1])
+            alpha_r = K([sympy.QQ(c.numerator, c.denominator) for c in r.coeffs[::-1]])
+            _, parts = sympy.Poly([K.one, K.zero, -alpha_r], y, domain=K).factor_list()
+            expected = sum(mult for _, mult in parts) == 2
+            assert is_square_mod(r, pi) == expected, (str(r), str(pi))
+            verdicts[expected] += 1
+
+    def test_forced_squares(self):
+        rng = random.Random(6)
+        for degree in range(2, 7):
+            for _ in range(30):
+                pi = random_irreducible(rng, degree)
+                t = PolyQ.of(
+                    [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, degree))]
+                )
+                if not (t % pi).is_zero():
+                    assert is_square_mod(t * t % pi, pi), (str(t), str(pi))
+
+    def test_norm_and_cyclotomic_cases(self):
+        x2_2, x4_1 = PolyQ.of([-2, 0, 1]), PolyQ.of([1, 0, 0, 0, 1])
+        assert is_square_mod(PolyQ.constant(2), x2_2)  # (x)^2
+        assert not is_square_mod(PolyQ.x(), x2_2)  # norm -2
+        # Q(zeta_8) contains sqrt(2), sqrt(-2) and i, but not sqrt(3)
+        for c, square in ((2, True), (-2, True), (-1, True), (3, False), (6, False)):
+            assert is_square_mod(PolyQ.constant(c), x4_1) is square, c
