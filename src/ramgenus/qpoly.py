@@ -404,17 +404,17 @@ def _char_poly(r: PolyQ, pi: PolyQ) -> PolyQ:
 
 
 def is_square_mod(r: PolyQ, pi: PolyQ) -> bool:
-    """Is r a square in K = Q[x]/(pi)?  Exact, for pi monic irreducible
-    over Q and r nonzero modulo pi.
+    """Is r a square in K = Q[x]/(pi)?  Exact, for pi monic irreducible.
 
     With M the characteristic polynomial of r on K, d = deg pi, a square has
     a square norm (-1)^d M(0); this settles most nonsquares. Otherwise r is
     multiplied by squares (1 + s x)^2 until M is squarefree (at most d(d-1)
     values of s fail), so that r generates K with minimal polynomial M. Then
-    r is a square exactly when the norm M(y^2) of y^2 - r is reducible over Q
-    (Trager, SYMSAC 1976). M(y^2) is squarefree: its roots are the square
-    roots of the distinct nonzero conjugates of r.
+    r is a square exactly when the norm M(y^2) of y^2 - r, squarefree since
+    M is and M(0) != 0, is reducible over Q (Trager, SYMSAC 1976).
     """
+    if (r % pi).is_zero():
+        raise ZeroValuationError("square test of 0 in the residue field")
     M = _char_poly(r, pi)
     if not is_rational_square((-1) ** pi.degree * M.constant_value()):
         return False

@@ -346,9 +346,10 @@ class TestRamVOverQ:
             ),
         ],
     )
-    def test_places_no_prime_scan_settles(self, a, b, ramified):
-        # cyclotomic places are reducible modulo every prime; (x^12 - 1, x + 3)
-        # carries the 12th cyclotomic place (x^4 - x^2 + 1)
+    def test_exact_verdicts_at_higher_degree_places(self, a, b, ramified):
+        # no reduction modulo a prime decides these: x^8 + 1 and the place
+        # x^4 - x^2 + 1 of x^12 - 1 are reducible modulo every prime, and a
+        # rational constant is a square in every finite field of even degree
         D = SymbolAlgebraFF(2, rf_q(a), rf_q(b))
         assert [str(w) for w in ram_V(D)] == ramified
         assert all(type(r.ramified) is bool for r in residues(D))

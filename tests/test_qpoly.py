@@ -237,3 +237,5 @@ class TestIsSquareMod:
         # Q(zeta_8) contains sqrt(2), sqrt(-2) and i, but not sqrt(3)
         for c, square in ((2, True), (-2, True), (-1, True), (3, False), (6, False)):
             assert is_square_mod(PolyQ.constant(c), x4_1) is square, c
+        with pytest.raises(ZeroValuationError):
+            is_square_mod(x4_1, x4_1)
