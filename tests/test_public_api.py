@@ -119,3 +119,76 @@ def test_inputs_fraction_rejects_are_rejected():
             hilbert(bad, 3, PLACES[1])
         with pytest.raises(error):
             hilbert_oracle(3, bad, 3)
+
+
+def _value_cases():
+    """(class, fields, differing fields) for every exported value class."""
+    from ramgenus import (
+        ExceptionalSet, FFGenusBound, FFPlace, GenusBoundReport, LocalInvariant,
+        LocalSquareClass, PolyFp, PolyQ, PrimeFactorization, QuadraticField, QuaternionQ,
+        RamificationSet, RationalFunction, SymbolAlgebraFF, TameResidue, WeierstrassCurve,
+    )
+
+    p3, p5 = PlaceQ.finite(3), PlaceQ.finite(5)
+    x5 = PolyFp(5, (0, 1))
+    place, inf5 = FFPlace(5, x5), FFPlace(5, None)
+    rf = RationalFunction(x5, PolyFp(5, (1,)))
+    rf2 = RationalFunction(PolyFp(5, (2,)), PolyFp(5, (1,)))
+    S = ExceptionalSet((REAL_PLACE,), ((REAL_PLACE, "archimedean"),))
+    S2 = ExceptionalSet((p3, REAL_PLACE), ((p3, "user-added"), (REAL_PLACE, "archimedean")))
+    genus = dict(bound=2, two_power=1, cl_factor=1, unit_factor=2, S=S, t=1, c=0)
+    bound = dict(bound=1, unramified_order=1, phi_factor=1, n=2, r=0, ramified=())
+    return [
+        (PrimeFactorization, dict(sign=1, factors=((2, 1),)), dict(sign=-1, factors=((2, 1),))),
+        (PlaceQ, dict(p=3), dict(p=5)),
+        (LocalSquareClass, dict(place=p3, parity=0, unit=1), dict(place=p3, parity=0, unit=-1)),
+        (LocalInvariant, dict(value=Fraction(1, 2)), dict(value=Fraction(0))),
+        (QuaternionQ, dict(a=Fraction(-1), b=Fraction(3)), dict(a=Fraction(-1), b=Fraction(7))),
+        (RamificationSet, dict(places=(p3, REAL_PLACE)), dict(places=(p5, REAL_PLACE))),
+        (QuadraticField, dict(d=-1), dict(d=2)),
+        (PolyFp, dict(p=5, coeffs=(1, 2)), dict(p=5, coeffs=(1, 3))),
+        (PolyQ, dict(coeffs=(Fraction(1), Fraction(2))), dict(coeffs=(Fraction(1),))),
+        (FFPlace, dict(char=5, pi=x5), dict(char=5, pi=None)),
+        (RationalFunction, dict(num=x5, den=PolyFp(5, (1,))), dict(num=x5, den=PolyFp(5, (1, 1)))),
+        (SymbolAlgebraFF, dict(n=2, a=rf, b=rf2), dict(n=3, a=rf, b=rf2)),
+        (TameResidue, dict(place=place, residue_class=2, ramified=True),
+         dict(place=inf5, residue_class=2, ramified=True)),
+        (FFGenusBound, bound, dict(bound, n=3)),
+        (WeierstrassCurve, dict(alpha=Fraction(0), beta=Fraction(-1), gamma=Fraction(0),
+                                roots=(Fraction(-1), Fraction(0), Fraction(1))),
+         dict(alpha=Fraction(-3), beta=Fraction(2), gamma=Fraction(0),
+              roots=(Fraction(0), Fraction(1), Fraction(2)))),
+        (ExceptionalSet, dict(places=S.places, provenance=S.provenance),
+         dict(places=S2.places, provenance=S2.provenance)),
+        (GenusBoundReport, genus, dict(genus, bound=4, unit_factor=4, S=S2)),
+    ]
+
+
+VALUE_CASES = _value_cases()
+
+
+def test_every_exported_value_class_is_covered():
+    classes = [getattr(ramgenus, name) for name in EXPORTS]
+    exported = {c.__name__ for c in classes if isinstance(c, type) and not issubclass(c, Exception)}
+    assert {cls.__name__ for cls, _, _ in VALUE_CASES} == exported
+
+
+@pytest.mark.parametrize("cls, fields, other", VALUE_CASES,
+                         ids=[cls.__name__ for cls, _, _ in VALUE_CASES])
+def test_value_semantics(cls, fields, other):
+    """What the value classes promise: construction by position and by the
+    documented field names, equality and hashing on the fields, immutability,
+    a repr naming the class, and copies equal to the original."""
+    import copy
+    import pickle
+
+    a, b, c = cls(*fields.values()), cls(**fields), cls(**other)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert a != (a,) and a != fields
+    for name, value in fields.items():
+        assert getattr(b, name) == value
+        with pytest.raises(AttributeError):
+            setattr(b, name, value)
+    assert repr(a).startswith(cls.__name__ + "(")
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
