@@ -10,10 +10,10 @@ nonsplit, and the sum of its local invariants vanishes (Hilbert reciprocity).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from ._value import Value
 from .errors import (
     SplitAlgebraError,
     WitnessSearchExhausted,
@@ -23,39 +23,37 @@ from .exactarith import factor, is_rational_square, squarefree_part
 from .localsymbols import REAL_PLACE, PlaceQ, hilbert, is_local_square
 
 
-@dataclass(frozen=True)
-class QuaternionQ:
+class QuaternionQ(Value):
     """The quaternion algebra (a, b) over Q: i^2 = a, j^2 = b, ij = -ji.
 
     The pair is a presentation, not a canonical form; two different pairs
     may well present isomorphic algebras.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0 or self.b == 0:
+    def __init__(self, a: Fraction, b: Fraction):
+        a, b = Fraction(a), Fraction(b)
+        if a == 0 or b == 0:
             raise ZeroValuationError("quaternion entries must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
-class RamificationSet:
+class RamificationSet(Value):
     """The finite set of places where a quaternion class is nonsplit.
 
     Hilbert reciprocity forces even cardinality, which the constructor
     enforces as a sanity check on its callers.
     """
 
-    places: tuple[PlaceQ, ...]
+    __slots__ = ("places",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.places)))
+    def __init__(self, places: tuple[PlaceQ, ...]):
+        ordered = tuple(sorted(set(places)))
         if len(ordered) % 2:
             raise ValueError(
                 "a ramification set has even size (reciprocity violated?)"
@@ -116,20 +114,20 @@ def is_isomorphic(D1: QuaternionQ, D2: QuaternionQ) -> bool:
     return ramification_set(D1) == ramification_set(D2)
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(Value):
     """Q(sqrt(d)), stored as the squarefree integer representative of the
     square class of d; d = 1 (a rational square) is rejected."""
 
-    d: int
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d == 0:
+    def __init__(self, d: int):
+        if d == 0:
             raise ZeroValuationError("0 does not define a quadratic field")
-        if factor(self.d).squarefree_part() != self.d:
-            raise ValueError(f"{self.d} is not squarefree")
-        if self.d == 1:
+        if factor(d).squarefree_part() != d:
+            raise ValueError(f"{d} is not squarefree")
+        if d == 1:
             raise ValueError("d = 1 gives Q, not a quadratic field")
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def from_rational(cls, q: Fraction | int) -> "QuadraticField":

@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Value
 from .brauerq import (
     QuadraticField,
     QuaternionQ,
@@ -47,11 +47,13 @@ EXIT_ORACLE_MISMATCH = 5
 # -- lexer ---------------------------------------------------------------------
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: object
-    pos: int
+class _Token(Value):
+    __slots__ = ("kind", "value", "pos")
+
+    def __init__(self, kind: str, value: object, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -316,21 +318,23 @@ def parse_places(text: str) -> list[PlaceQ]:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass
-class Report:
+class Report(Value):
     """One run's outcome; ``to_document`` is the structured-output contract.
 
     ``inline_notes`` annotates numeric result keys in the text rendering and
     is deliberately not part of the structured document.
     """
 
-    command: str
-    inputs: dict
-    result: object
-    factors: dict | None = None
-    provenance: list[str] = field(default_factory=list)
-    exit_status: int = EXIT_OK
-    inline_notes: dict = field(default_factory=dict)
+    __slots__ = ("command", "inputs", "result", "factors", "provenance", "exit_status",
+                 "inline_notes")
+
+    def __init__(self, command: str, inputs: dict, result: object, factors: dict | None = None,
+                 provenance: list[str] | None = None, exit_status: int = EXIT_OK,
+                 inline_notes: dict | None = None):
+        values = (command, inputs, result, factors, [] if provenance is None else provenance,
+                  exit_status, {} if inline_notes is None else inline_notes)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def to_document(self) -> dict:
         doc = {"command": self.command, "inputs": self.inputs, "result": self.result}

@@ -10,9 +10,9 @@ U_S = {±1} x Z^(#finite S), so every factor is explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import RamgenusError
 from .exactarith import factor
 from .localsymbols import REAL_PLACE, PlaceQ
@@ -38,31 +38,25 @@ def cubic_discriminant(alpha, beta, gamma) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(Value):
     """y^2 = x^3 + alpha x^2 + beta x + gamma with three distinct rational
     roots (the split hypothesis is verified, never assumed)."""
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    roots: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ("alpha", "beta", "gamma", "roots")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        rts = tuple(sorted(Fraction(r) for r in self.roots))
-        object.__setattr__(self, "roots", rts)
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction,
+                 roots: tuple[Fraction, Fraction, Fraction]):
+        alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+        rts = tuple(sorted(Fraction(r) for r in roots))
         a, b, c = rts
         if len({a, b, c}) != 3:
             raise NotSplitError("roots must be pairwise distinct")
-        if (
-            self.alpha != -(a + b + c)
-            or self.beta != a * b + a * c + b * c
-            or self.gamma != -a * b * c
-        ):
+        if alpha != -(a + b + c) or beta != a * b + a * c + b * c or gamma != -a * b * c:
             raise NotSplitError("coefficients do not match the stated roots")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "roots", rts)
 
     @classmethod
     def from_roots(cls, a, b, c) -> "WeierstrassCurve":
@@ -88,18 +82,17 @@ class WeierstrassCurve:
         return f"y^2 = {f}"
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(Value):
     """The finite place set S with per-place provenance tags."""
 
-    places: tuple[PlaceQ, ...]
-    provenance: tuple[tuple[PlaceQ, str], ...]
+    __slots__ = ("places", "provenance")
 
-    def __post_init__(self):
-        ordered = tuple(sorted(set(self.places)))
-        object.__setattr__(self, "places", ordered)
+    def __init__(self, places: tuple[PlaceQ, ...], provenance: tuple[tuple[PlaceQ, str], ...]):
+        ordered = tuple(sorted(set(places)))
         if REAL_PLACE not in ordered:
             raise ValueError("S must contain the real place")
+        object.__setattr__(self, "places", ordered)
+        object.__setattr__(self, "provenance", provenance)
 
     def __iter__(self):
         return iter(self.places)
@@ -160,8 +153,7 @@ def s_unit_square_classes(S: ExceptionalSet) -> int:
     return 2 ** (1 + S.finite_count)
 
 
-@dataclass(frozen=True)
-class GenusBoundReport:
+class GenusBoundReport(Value):
     """The assembled bound with the provenance of each factor.
 
     bound = two_power * cl_factor * unit_factor, with
@@ -169,19 +161,17 @@ class GenusBoundReport:
     and t = c + 1 where c counts complex places (c = 0 over Q).
     """
 
-    bound: int
-    two_power: int
-    cl_factor: int
-    unit_factor: int
-    S: ExceptionalSet
-    t: int
-    c: int
+    __slots__ = ("bound", "two_power", "cl_factor", "unit_factor", "S", "t", "c")
 
-    def __post_init__(self):
-        if self.bound != self.two_power * self.cl_factor * self.unit_factor:
+    def __init__(self, bound: int, two_power: int, cl_factor: int, unit_factor: int,
+                 S: ExceptionalSet, t: int, c: int):
+        if bound != two_power * cl_factor * unit_factor:
             raise ValueError("factors do not multiply to the bound")
-        if self.t != self.c + 1:
+        if t != c + 1:
             raise ValueError("t must equal c + 1")
+        values = (bound, two_power, cl_factor, unit_factor, S, t, c)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def elliptic_genus_bound(curve: WeierstrassCurve, extra=()) -> GenusBoundReport:

@@ -8,10 +8,10 @@ and a unique zero, which is exactly the invariant set we need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._value import Value
 from .errors import PrimalityRangeError, ZeroValuationError
 
 Rational = Fraction
@@ -109,19 +109,19 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(Value):
     """Signed prime factorization: sign * prod(p^e) reconstructs the integer.
 
     ``factors`` is a tuple of (prime, exponent) pairs sorted by prime.
     """
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("sign", "factors")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     def value(self) -> int:
         n = self.sign

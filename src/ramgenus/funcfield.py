@@ -15,8 +15,8 @@ transformed functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import euler_phi, is_prime, is_rational_square
 from .gfpoly import (
@@ -29,32 +29,31 @@ from .gfpoly import (
 from .qpoly import PolyQ, factor_q, is_irreducible_q, is_square_mod
 
 
-@dataclass(frozen=True)
-class FFPlace:
+class FFPlace(Value):
     """A geometric place of k(x): a monic irreducible polynomial over k, or
     the degree place at infinity (pi is None). char is p for F_p and 0 for Q.
     """
 
-    char: int
-    pi: PolyFp | PolyQ | None
+    __slots__ = ("char", "pi")
 
-    def __post_init__(self):
-        if self.pi is None:
-            if self.char != 0 and not is_prime(self.char):
+    def __init__(self, char: int, pi: PolyFp | PolyQ | None):
+        if pi is None:
+            if char != 0 and not is_prime(char):
                 raise ValueError("char must be 0 (for Q) or a prime")
-            return
-        if isinstance(self.pi, PolyFp):
-            if self.char != self.pi.p:
+        elif isinstance(pi, PolyFp):
+            if char != pi.p:
                 raise ValueError("char does not match the polynomial")
-            if not self.pi.is_monic() or not is_irreducible_fp(self.pi):
-                raise ValueError(f"{self.pi} is not monic irreducible over F_{self.char}")
-        elif isinstance(self.pi, PolyQ):
-            if self.char != 0:
+            if not pi.is_monic() or not is_irreducible_fp(pi):
+                raise ValueError(f"{pi} is not monic irreducible over F_{char}")
+        elif isinstance(pi, PolyQ):
+            if char != 0:
                 raise ValueError("char does not match the polynomial")
-            if not self.pi.is_monic() or not is_irreducible_q(self.pi):
-                raise ValueError(f"{self.pi} is not monic irreducible over Q")
+            if not pi.is_monic() or not is_irreducible_q(pi):
+                raise ValueError(f"{pi} is not monic irreducible over Q")
         else:
             raise TypeError("pi must be PolyFp, PolyQ, or None")
+        object.__setattr__(self, "char", char)
+        object.__setattr__(self, "pi", pi)
 
     @classmethod
     def finite(cls, pi: PolyFp | PolyQ) -> "FFPlace":
@@ -94,15 +93,12 @@ class FFPlace:
         return "inf" if self.pi is None else f"({self.pi})"
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Value):
     """An element of k(x) in reduced form: gcd(num, den) = 1, den monic."""
 
-    num: PolyFp | PolyQ
-    den: PolyFp | PolyQ
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num: PolyFp | PolyQ, den: PolyFp | PolyQ):
         if type(num) is not type(den):
             raise TypeError("numerator and denominator over different fields")
         if isinstance(num, PolyFp) and num.p != den.p:
@@ -261,25 +257,23 @@ def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SymbolAlgebraFF:
+class SymbolAlgebraFF(Value):
     """The degree-n symbol algebra (a, b) over k(x), n prime to char k."""
 
-    n: int
-    a: RationalFunction
-    b: RationalFunction
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, a: RationalFunction, b: RationalFunction):
+        if n < 2:
             raise ValueError("symbol degree must be at least 2")
-        if self.a.char != self.b.char:
+        if a.char != b.char:
             raise ValueError("entries over different base fields")
-        if self.a.is_zero() or self.b.is_zero():
+        if a.is_zero() or b.is_zero():
             raise ZeroValuationError("symbol entries must be nonzero")
-        if self.char > 0 and math.gcd(self.n, self.char) != 1:
-            raise UnsupportedFieldError(
-                f"degree {self.n} not prime to characteristic {self.char}"
-            )
+        if a.char > 0 and math.gcd(n, a.char) != 1:
+            raise UnsupportedFieldError(f"degree {n} not prime to characteristic {a.char}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def char(self) -> int:
@@ -290,8 +284,7 @@ class SymbolAlgebraFF:
         return f"({self.a}, {self.b}; n={self.n}, k={k})"
 
 
-@dataclass(frozen=True)
-class TameResidue:
+class TameResidue(Value):
     """Residue data of a symbol algebra at one place.
 
     ``ramified`` is a proven verdict. ``residue_class`` is the tame-symbol
@@ -300,10 +293,13 @@ class TameResidue:
     ``certainty`` is a constant that ``bench/function_fields.py`` still reads.
     """
 
-    place: FFPlace
-    residue_class: object
-    ramified: bool
+    __slots__ = ("place", "residue_class", "ramified")
     certainty = "proven"
+
+    def __init__(self, place: FFPlace, residue_class: object, ramified: bool):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "residue_class", residue_class)
+        object.__setattr__(self, "ramified", ramified)
 
 
 def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
@@ -381,8 +377,7 @@ def ram_V_over_Q(D: SymbolAlgebraFF) -> list[TameResidue]:
     return [res for res in residues(D) if res.ramified]
 
 
-@dataclass(frozen=True)
-class FFGenusBound:
+class FFGenusBound(Value):
     """Genus-size bound |nBr(K)_V| * phi(n)^r for a symbol algebra over k(x).
 
     The unramified factor is 1 on both supported base fields. Over F_p(x),
@@ -393,13 +388,14 @@ class FFGenusBound:
     constant that ``bench/function_fields.py`` still reads.
     """
 
-    bound: int
-    unramified_order: int
-    phi_factor: int
-    n: int
-    r: int
-    ramified: tuple[FFPlace, ...]
+    __slots__ = ("bound", "unramified_order", "phi_factor", "n", "r", "ramified")
     unresolved = ()
+
+    def __init__(self, bound: int, unramified_order: int, phi_factor: int, n: int, r: int,
+                 ramified: tuple[FFPlace, ...]):
+        for name, value in zip(self.__slots__, (bound, unramified_order, phi_factor, n, r,
+                                                ramified)):
+            object.__setattr__(self, name, value)
 
 
 def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:

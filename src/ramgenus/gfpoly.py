@@ -24,9 +24,9 @@ before Ben-Or's test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd as int_gcd
 
+from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import is_prime
 
@@ -132,11 +132,13 @@ def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
     return out
 
 
-class _Poly:
+class _Poly(Value):
     """What a dense polynomial over a field k does independently of k:
     ``coeffs`` ascending with trailing zeros stripped, structure, Euclid and
     printing. A subclass supplies ``_like(coeffs)``, a polynomial over the
     same field, and ``_inv(c)``, the inverse of a nonzero scalar."""
+
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -210,18 +212,17 @@ class _Poly:
         return (self.degree, self.coeffs[::-1])
 
 
-@dataclass(frozen=True)
 class PolyFp(_Poly):
     """A polynomial over F_p: coefficients ascending, trailing zeros stripped."""
 
-    p: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("p", "coeffs")
 
-    def __post_init__(self):
-        _check_char(self.p)
-        cs = tuple(c % self.p for c in self.coeffs)
+    def __init__(self, p: int, coeffs: tuple[int, ...]):
+        _check_char(p)
+        cs = tuple(c % p for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod

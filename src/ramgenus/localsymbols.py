@@ -11,23 +11,23 @@ two routes stay independent.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import ZeroValuationError
 from .exactarith import is_prime, legendre, smallest_nonresidue
 
 
 @functools.total_ordering
-@dataclass(frozen=True, order=False)
-class PlaceQ:
+class PlaceQ(Value):
     """A place of Q: a finite prime p, or the real place (p is None)."""
 
-    p: int | None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int | None):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def finite(cls, p: int) -> "PlaceQ":
@@ -63,8 +63,7 @@ class PlaceQ:
 REAL_PLACE = PlaceQ.real_infinity()
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
+class LocalSquareClass(Value):
     """An element of Q_v^x / (Q_v^x)^2 in canonical form.
 
     parity is v(a) mod 2 (always 0 at the real place). The meaning of
@@ -74,9 +73,12 @@ class LocalSquareClass:
       * real place: the sign of a (parity stays 0).
     """
 
-    place: PlaceQ
-    parity: int
-    unit: int
+    __slots__ = ("place", "parity", "unit")
+
+    def __init__(self, place: PlaceQ, parity: int, unit: int):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "unit", unit)
 
     def is_identity(self) -> bool:
         return self.parity == 0 and self.unit == 1
@@ -194,15 +196,15 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> int:
     return sym
 
 
-@dataclass(frozen=True)
-class LocalInvariant:
+class LocalInvariant(Value):
     """An element of (1/2)Z/Z: the local invariant of a quaternion class."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value not in (Fraction(0), Fraction(1, 2)):
+    def __init__(self, value: Fraction):
+        if value not in (Fraction(0), Fraction(1, 2)):
             raise ValueError("quaternion invariants are 0 or 1/2")
+        object.__setattr__(self, "value", value)
 
     def __add__(self, other: "LocalInvariant") -> "LocalInvariant":
         return LocalInvariant((self.value + other.value) % 1)

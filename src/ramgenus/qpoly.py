@@ -14,7 +14,6 @@ no computer-algebra system is imported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
@@ -25,14 +24,13 @@ from .exactarith import is_rational_square, primes_after
 from .gfpoly import PolyFp, _add_mod, _Poly, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
 
 
-@dataclass(frozen=True)
 class PolyQ(_Poly):
     """A polynomial over Q: Fraction coefficients ascending, normalized."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        cs = tuple(Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)

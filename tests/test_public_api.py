@@ -169,7 +169,8 @@ VALUE_CASES = _value_cases()
 
 def test_every_exported_value_class_is_covered():
     classes = [getattr(ramgenus, name) for name in EXPORTS]
-    exported = {c.__name__ for c in classes if isinstance(c, type) and not issubclass(c, Exception)}
+    exported = {c.__name__ for c in classes
+                if isinstance(c, type) and not issubclass(c, Exception)}
     assert {cls.__name__ for cls, _, _ in VALUE_CASES} == exported
 
 
