@@ -38,6 +38,15 @@ class OracleMismatchError(RamgenusError):
     """The closed-form symbol and the search oracle disagreed."""
 
 
+class InputSizeError(RamgenusError):
+    """A well-formed input asks for more than the parser expands."""
+
+
+# powers are expanded densely at parse time, in time about quadratic in the
+# exponent; x^999999999 would allocate 10^9 coefficients
+MAX_EXPONENT = 256
+
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -172,6 +181,9 @@ class _Parser:
             e = tok.value
             if e.denominator != 1:
                 raise ParseError("exponent must be an integer", self.text, tok.pos)
+            if e > MAX_EXPONENT:
+                raise InputSizeError(
+                    f"exponent above the cap of {MAX_EXPONENT} (at position {tok.pos})")
             return base.pow(-int(e) if neg else int(e))
         return base
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from ramgenus.cli import (
     EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    MAX_EXPONENT,
+    InputSizeError,
     Report,
     main,
     parse_algebra,
@@ -61,6 +64,14 @@ class TestParsing:
             "( x , x ; n = 2 , k = F3 )"
         )
         assert parse_algebra("(-1,3)") == parse_algebra("( -1 , 3 )")
+
+    def test_exponent_cap(self):
+        assert parse_algebra(f"(x^{MAX_EXPONENT}, x; n=2, k=F5)").a.num.degree == MAX_EXPONENT
+        assert parse_rational(f"2^-{MAX_EXPONENT}") == Fraction(1, 2**MAX_EXPONENT)
+        for text in (f"(x^{MAX_EXPONENT + 1}, x; n=2, k=F5)", f"(3, 2^-{MAX_EXPONENT + 1})"):
+            with pytest.raises(InputSizeError) as err:
+                parse_algebra(text)
+            assert not isinstance(err.value, ParseError)
 
     def test_rational(self):
         assert parse_rational("-10") == -10
@@ -194,6 +205,16 @@ class TestMainExitCodes:
     def test_unresolved_square(self, capsys):
         assert main(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"]) == EXIT_OK
         assert "count: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["ff-ramify", "(x^999999999, x; n=2, k=F5)"],
+        ["ramify", "(2^999999999, 3)"],
+    ])
+    def test_exponent_above_the_cap_fails_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 5
+        assert f"cap of {MAX_EXPONENT}" in capsys.readouterr().err
 
     def test_structured_format(self, capsys):
         assert main(["ramify", "(-1,3)", "--format", "structured"]) == EXIT_OK
