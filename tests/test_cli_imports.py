@@ -1,8 +1,8 @@
 """Importing the CLI loads no module that only code generation needs.
 
 ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and
-decorating a class compiles fresh source that no bytecode cache keeps; every
-CLI command paid for both before its first line of work. ``-S`` keeps the
+each decorated class compiles fresh source that no bytecode cache keeps, so
+every CLI process would pay for both before doing any work. ``-S`` keeps the
 site hooks of the installation out of the check."""
 
 import os
