@@ -393,8 +393,8 @@ class FFGenusBound(Value):
 
     def __init__(self, bound: int, unramified_order: int, phi_factor: int, n: int, r: int,
                  ramified: tuple[FFPlace, ...]):
-        for name, value in zip(self.__slots__, (bound, unramified_order, phi_factor, n, r,
-                                                ramified)):
+        values = (bound, unramified_order, phi_factor, n, r, ramified)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
 
