@@ -19,8 +19,8 @@ class Value:
         super().__init_subclass__(**kwargs)
         if not cls.__slots__:
             return
-        # one C-level getter per class, read from a closure rather than looked
-        # up on the instance: these run in the hot loops (dict keys, sorting)
+        # one C-level getter per class, held in a closure rather than looked
+        # up on the instance: dict and set keys compare and hash in hot loops
         fields = attrgetter(*cls.__slots__)
 
         def __eq__(self, other):
