@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
+from ramgenus.exactarith import is_rational_square
 from ramgenus.funcfield import (
     FFPlace,
     RationalFunction,
@@ -234,6 +235,68 @@ class TestDirectResidue:
 
             _check_direct_residues(SymbolAlgebraFF(2, entry(), entry()), seen)
         assert all(seen.values())
+
+
+class TestDegreePlaceResidue:
+    """At the degree place the residue is read from the leading coefficients
+    and v_inf = deg den - deg num; the tame symbol in the x -> 1/x model is
+    the reference. Entries have non-monic numerators and |v_inf| >= 2 of both
+    signs."""
+
+    @staticmethod
+    def _entry(rng, poly, v):
+        # deg den - deg num = v, the numerator's leading coefficient not 1
+        num_deg = rng.randint(max(0, -v), 3 + max(0, -v))
+        return RationalFunction(poly(num_deg, None), poly(num_deg + v, 1))
+
+    def _check(self, D, seen):
+        w = FFPlace.infinity(D.char)
+        got = tame_residue(D, w)
+        want = _residue_reference(D, w)
+        if D.char:
+            assert got.residue_class == want, str(D)
+            assert got.ramified == (not residue_class_is_nth_power(want, want.x(D.char), D.n))
+        else:
+            want = want.constant_value()
+            assert got.residue_class == want and type(got.residue_class) is Fraction, str(D)
+            assert got.ramified == (not is_rational_square(want))
+        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
+        assert D.a.num.leading() != 1 and D.b.num.leading() != 1
+        seen.update(v for v in (va, vb) if abs(v) >= 2)
+
+    def test_over_fp(self):
+        rng = random.Random(137)
+        seen: set[int] = set()
+        for _ in range(80):
+            p = rng.choice([5, 7, 13, 31])
+            n = rng.choice([2, 3])
+
+            def poly(deg, lead):
+                coeffs = [rng.randrange(p) for _ in range(deg)] + [lead or rng.randint(2, p - 1)]
+                return PolyFp(p, tuple(coeffs))
+
+            va, vb = rng.choice([-3, -2, 2, 3]), rng.choice([-3, -2, -1, 0, 1, 2, 3])
+            if rng.random() < 0.5:
+                va, vb = vb, va
+            self._check(SymbolAlgebraFF(n, self._entry(rng, poly, va), self._entry(rng, poly, vb)),
+                        seen)
+        assert {-3, -2, 2, 3} <= seen
+
+    def test_over_q(self):
+        rng = random.Random(139)
+        seen: set[int] = set()
+        for _ in range(40):
+            def poly(deg, lead):
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg)]
+                leads = [2, -1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+                return PolyQ(tuple(coeffs) + (lead or rng.choice(leads),))
+
+            va, vb = rng.choice([-3, -2, 2, 3]), rng.choice([-3, -2, -1, 0, 1, 2, 3])
+            if rng.random() < 0.5:
+                va, vb = vb, va
+            self._check(SymbolAlgebraFF(2, self._entry(rng, poly, va), self._entry(rng, poly, vb)),
+                        seen)
+        assert {-3, -2, 2, 3} <= seen
 
 
 class TestRamV:

@@ -177,6 +177,96 @@ class TestFactor:
         assert poly_factor_fp(f) == [(g, 3), (h, 1)]
 
 
+def sympy_factors(f: PolyFp) -> list[tuple[PolyFp, int]]:
+    """Reference: sympy's factorization over F_p, as monic factors with
+    multiplicities in poly_factor_fp's order (sympy is only a test reference)."""
+    from sympy import Poly, symbols
+
+    _, parts = Poly(list(reversed(f.coeffs)), symbols("x"), modulus=f.p).factor_list()
+    out = [(PolyFp(f.p, tuple(reversed(g.all_coeffs()))).monic(), m) for g, m in parts]
+    return sorted(out, key=lambda t: t[0].sort_key())
+
+
+def random_irreducibles(rng, p, d, count):
+    """``count`` distinct monic irreducibles of degree d over F_p (by sympy)."""
+    from sympy import Poly, symbols
+
+    found: list[PolyFp] = []
+    while len(found) < count:
+        f = PolyFp(p, tuple(rng.randrange(p) for _ in range(d)) + (1,))
+        if f not in found and Poly(list(reversed(f.coeffs)), symbols("x"), modulus=p).is_irreducible:
+            found.append(f)
+    return found
+
+
+class TestFactorAgainstSympy:
+    PRIMES = (2, 3, 101, 10007)
+
+    def test_random_polynomials(self):
+        rng = random.Random(41)
+        for p in self.PRIMES:
+            for _ in range(40):
+                f = random_of_degree(rng, p, rng.randint(1, 12))
+                assert poly_factor_fp(f) == sympy_factors(f), (p, f.coeffs)
+
+    def test_random_products_with_repeated_factors(self):
+        rng = random.Random(43)
+        for p in self.PRIMES:
+            for _ in range(15):
+                f = PolyFp.constant(p, rng.randrange(1, p))
+                while True:
+                    g = random_of_degree(rng, p, rng.randint(1, 3))
+                    if f.degree + 2 * g.degree > 12:
+                        break
+                    f = f * g * (g if rng.random() < 0.5 else PolyFp.constant(p, 1))
+                if not f.is_constant():
+                    assert poly_factor_fp(f) == sympy_factors(f), (p, f.coeffs)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_products_of_distinct_irreducibles_of_one_degree(self, d):
+        # equal-degree splitting (the trace branch at p = 2) must separate
+        # three or more factors of the same degree
+        rng = random.Random(47 + d)
+        for p in self.PRIMES:
+            count = 12 // d
+            if p <= 3:  # few irreducibles of degree d exist
+                count = min(count, len([g for g in irreducible_monics(p, d) if g.degree == d]))
+            if count < 2:
+                continue
+            for _ in range(3):
+                k = rng.randint(min(3, count), count)
+                factors = random_irreducibles(rng, p, d, k)
+                f = PolyFp.constant(p, rng.randrange(1, p))
+                for g in factors:
+                    f = f * g
+                assert poly_factor_fp(f) == sympy_factors(f), (p, d, f.coeffs)
+                assert len(poly_factor_fp(f)) == k
+
+    def test_three_of_one_degree_in_characteristic_two(self):
+        # F_2 has fewer than three irreducibles of each degree up to 3, so the
+        # trace branch meets three equal-degree factors at degree 4
+        quartics = [g for g in irreducible_monics(2, 4) if g.degree == 4]
+        assert len(quartics) == 3
+        f = quartics[0] * quartics[1] * quartics[2]
+        assert poly_factor_fp(f) == sympy_factors(f) == [(g, 1) for g in quartics]
+
+    def test_frobenius_images_times_pth_powers(self):
+        # f(x^p) * g^p has derivative 0, so the squarefree decomposition takes
+        # the p-th-root path, more than once when f(x^p) is itself a p-th power
+        rng = random.Random(53)
+        for p, max_deg in ((2, 3), (3, 2)):
+            for _ in range(40):
+                f = random_of_degree(rng, p, rng.randint(0, max_deg))
+                g = random_of_degree(rng, p, rng.randint(1, max_deg))
+                f_of_xp = PolyFp(p, tuple(c if j == 0 else 0 for c in f.coeffs for j in range(p)))
+                g_to_p = PolyFp.constant(p, 1)
+                for _ in range(p):
+                    g_to_p = g_to_p * g
+                h = f_of_xp * g_to_p
+                assert h.derivative().is_zero()
+                assert poly_factor_fp(h) == sympy_factors(h), (p, h.coeffs)
+
+
 class TestIrreducibility:
     def test_against_bruteforce(self):
         for p in (2, 3, 5, 7):
