@@ -7,9 +7,12 @@ class of the tame symbol
     t = (-1)^(v(a) v(b)) * a^(v(b)) * b^(-v(a))
 
 in the residue field modulo n-th powers: the symbol is unramified at w
-exactly when that class is trivial. The place at infinity is handled through
-the substitution x -> 1/x, which turns it into the place (x) of the
-transformed functions.
+exactly when that class is trivial. At a finite place pi the class is formed
+in k[x]/(pi) from the valuations and unit parts of the entries, over F_p on
+int lists. At the degree place v(f) = deg den - deg num and, den being
+monic, the unit part of f is lc(num) there, so the class is a constant of k
+read off the leading coefficients. ``tame_symbol`` builds t itself in k(x),
+through x -> 1/x at the degree place, as a reference.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import euler_phi, is_prime, is_rational_square
 from .gfpoly import (
     PolyFp,
+    _divmod_monic,
+    _inv_mod,
+    _mul,
+    _pow_mod,
     fq_inv,
     is_irreducible_fp,
     poly_factor_fp,
@@ -60,11 +67,12 @@ class FFPlace(Value):
         return cls(pi.p if isinstance(pi, PolyFp) else 0, pi)
 
     @classmethod
-    def _from_factor(cls, pi: PolyFp | PolyQ) -> "FFPlace":
-        """The finite place of a monic irreducible that a factorizer has just
-        produced; skips the irreducibility test that the constructor runs."""
+    def _trusted(cls, char: int, pi: PolyFp | PolyQ | None) -> "FFPlace":
+        """The place of a monic irreducible that a factorizer has just
+        produced, or the degree place of a characteristic read off a validated
+        polynomial; skips the tests that the constructor runs."""
         place = object.__new__(cls)
-        object.__setattr__(place, "char", pi.p if isinstance(pi, PolyFp) else 0)
+        object.__setattr__(place, "char", char)
         object.__setattr__(place, "pi", pi)
         return place
 
@@ -192,7 +200,7 @@ class RationalFunction(Value):
         """
         if place.is_infinite:
             model = self.at_infinity_model()
-            return model.residue_at(FFPlace._from_factor(self.num._like((0, 1))))
+            return model.residue_at(FFPlace._trusted(self.char, self.num._like((0, 1))))
         pi = place.pi
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
@@ -244,14 +252,14 @@ def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
         else:
             _, parts = factor_q(poly)
         for pi, mult in parts:
-            place = FFPlace._from_factor(pi)
+            place = FFPlace._trusted(f.char, pi)
             vals[place] = vals.get(place, 0) + sign * mult
 
     absorb(f.num, 1)
     absorb(f.den, -1)
     vinf = f.den.degree - f.num.degree
     if vinf:
-        vals[FFPlace.infinity(f.char)] = vinf
+        vals[FFPlace._trusted(f.char, None)] = vinf
     out = [(place, v) for place, v in vals.items() if v != 0]
     out.sort(key=lambda t: t[0].sort_key())
     return out
@@ -307,7 +315,7 @@ def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
     if w.is_infinite:
         a = D.a.at_infinity_model()
         b = D.b.at_infinity_model()
-        w = FFPlace._from_factor(a.num._like((0, 1)))
+        w = FFPlace._trusted(D.char, a.num._like((0, 1)))
     else:
         a, b = D.a, D.b
     va, vb = a.valuation_at(w), b.valuation_at(w)
@@ -321,35 +329,65 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     """Residue of the symbol at w: unramified iff the tame symbol reduces to
     an n-th power in the residue field.
 
-    The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a) is formed in k[x]/(pi)
-    from the valuations v and the unit parts u of the entries at pi; it
-    equals ``tame_symbol(D, w).residue_at(w)``. At the degree place the
-    entries are read through x -> 1/x, with pi = x. Over Q(x) squareness is
-    decided exactly: by ``is_rational_square`` where the residue field is Q,
-    by Trager's norm method (``qpoly.is_square_mod``) above degree 1.
+    The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a), from the valuations v
+    and unit parts u of the entries, equals ``tame_symbol(D, w).residue_at(w)``.
+    At the degree place it is the constant (-1)^(v_a v_b) lc(a)^(v_b)
+    lc(b)^(-v_a); at a finite place over F_p it is formed on int lists. Over
+    Q(x) squareness is decided exactly: by ``is_rational_square`` where the
+    residue field is Q, by Trager's norm method (``qpoly.is_square_mod``)
+    above degree 1.
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
-    if w.is_infinite:
-        a, b = D.a.at_infinity_model(), D.b.at_infinity_model()
-        pi = a.num._like((0, 1))
-    else:
-        a, b, pi = D.a, D.b, w.pi
-    va, ua = _valuation_and_unit(a, pi)
-    vb, ub = _valuation_and_unit(b, pi)
-    residue = ua.pow_mod(vb, pi) * ub.pow_mod(-va, pi) % pi
-    if va * vb % 2:
-        residue = -residue
-    if D.char > 0:
-        ramified = not residue_class_is_nth_power(residue, pi, D.n)
-    elif D.n != 2:
+    p = D.char
+    if p == 0 and D.n != 2:
         raise UnsupportedFieldError("over Q(x) only degree-2 symbols are supported")
+    if w.is_infinite:
+        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
+        ca, cb, sign = D.a.num.leading(), D.b.num.leading(), -1 if va * vb % 2 else 1
+        residue = sign * (pow(ca, vb, p) * pow(cb, -va, p) if p else ca**vb * cb**-va)
+        pi = D.a.num._like((0, 1))
+        if p:
+            residue = PolyFp._make(p, (residue % p,))
+    elif p:
+        pi = w.pi
+        residue = PolyFp._make(p, _residue_fp(D, list(pi.coeffs), p))
+    else:
+        pi = w.pi
+        va, ua = _valuation_and_unit(D.a, pi)
+        vb, ub = _valuation_and_unit(D.b, pi)
+        residue = ua.pow_mod(vb, pi) * ub.pow_mod(-va, pi) % pi
+        if va * vb % 2:
+            residue = -residue
+        if pi.degree == 1:
+            residue = residue.constant_value()
+    if p:
+        ramified = not residue_class_is_nth_power(residue, pi, D.n)
     elif pi.degree == 1:
-        residue = residue.constant_value()
         ramified = not is_rational_square(residue)
     else:
         ramified = not is_square_mod(residue, pi)
     return TameResidue(w, residue, ramified)
+
+
+def _residue_fp(D: SymbolAlgebraFF, pi: list[int], p: int) -> list[int]:
+    """The tame symbol at a finite place pi over F_p, on int lists: the unit
+    parts of the four polynomials of the entries enter with signed powers;
+    the positive powers are multiplied and the negative ones inverted once."""
+    parts = []
+    for poly in (D.a.num, D.a.den, D.b.num, D.b.den):
+        v, (q, r) = 0, _divmod_monic(poly.coeffs, pi, p)
+        while not r:
+            v, (q, r) = v + 1, _divmod_monic(q, pi, p)
+        parts.append((v, r))
+    va, vb = parts[0][0] - parts[1][0], parts[2][0] - parts[3][0]
+    top, bottom = [-1 if va * vb % 2 else 1], [1]
+    for (_, u), e in zip(parts, (vb, -vb, -va, va)):
+        if e > 0:
+            top = _mul(top, _pow_mod(u, e, pi, p))
+        elif e < 0:
+            bottom = _mul(bottom, _pow_mod(u, -e, pi, p))
+    return _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1]
 
 
 def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
@@ -360,7 +398,7 @@ def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
     missing from the list is provably unramified.
     """
     places = {p for p, _ in places_of(D.a)} | {p for p, _ in places_of(D.b)}
-    places.add(FFPlace.infinity(D.char))
+    places.add(FFPlace._trusted(D.char, None))
     return [tame_residue(D, w) for w in sorted(places, key=FFPlace.sort_key)]
 
 

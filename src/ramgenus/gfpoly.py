@@ -5,14 +5,19 @@ with the zero polynomial represented by the empty tuple. All values are
 immutable; every operation returns a fresh polynomial.
 
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
-``_add_mod``, ``_divmod_monic``, shared with the Hensel lifting in
-``qpoly``), reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
-``constant``, ``x``) check the characteristic and reduce coefficients;
-ring operations build their results with the trusted ``PolyFp._make``.
+``_add_mod``, ``_divmod_monic``, the monic ``_gcd`` and the inverse
+``_inv_mod``; ``qpoly``'s Hensel lifting shares them), reduced once per
+product. Only the public constructors (``PolyFp(...)``, ``of``, ``constant``,
+``x``) check the characteristic and reduce coefficients; ring operations
+build their results with the trusted ``PolyFp._make``.
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, Euclid,
 ``pow_mod`` and printing) and ``fq_inv``, the inverse in k[x]/(pi); PolyFp
 overrides the parts the int-list kernel runs faster.
+
+``poly_factor_fp`` runs all three stages on int lists and builds a PolyFp
+only for each irreducible it returns; the distinct-degree stage applies
+Frobenius from a table of x^(i p) mod f, built once per squarefree part.
 
 Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
 by Euclid (``_norm``), whenever the class-group order divides p - 1; every
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import random
 from math import gcd as int_gcd
+from operator import mul
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -91,13 +97,36 @@ def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[i
     return _trim(q), _trim([c % m for c in rem[:db]])
 
 
-def _monic_coeffs(f: "PolyFp") -> list[int]:
-    """The coefficients of f scaled to be monic; f nonzero."""
-    lead = f.coeffs[-1]
-    if lead == 1:
-        return list(f.coeffs)
-    inv = pow(lead, -1, f.p)
-    return [c * inv % f.p for c in f.coeffs]
+def _monic(a, p: int) -> list[int]:
+    """a scaled to be monic mod p; a nonzero and reduced."""
+    if a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b mod p (empty when both are)."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod_monic(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _inv_mod(a, f: list[int], p: int) -> list[int]:
+    """a^(-1) mod (f, p) for a monic f and an a prime to f, by the extended
+    Euclidean algorithm; s * a = r mod f holds for every remainder r."""
+    r0, r1 = f, _divmod_monic(a, f, p)[1]
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        inv = pow(r1[-1], -1, p)
+        q, r = _divmod_monic(r0, [c * inv % p for c in r1], p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _add_mod(s0, _mul([c * inv for c in q], s1), p, -1)
+    if not r1:
+        raise ZeroDivisionError("inverse of 0 in residue field")
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
 
 
 def _norm(f: list[int], g, p: int) -> int:
@@ -293,7 +322,7 @@ class PolyFp(_Poly):
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
         lead = other.coeffs[-1]
-        q, r = _divmod_monic(self.coeffs, _monic_coeffs(other), p)
+        q, r = _divmod_monic(self.coeffs, _monic(other.coeffs, p), p)
         if lead != 1:
             inv = pow(lead, -1, p)
             q = [c * inv % p for c in q]
@@ -302,7 +331,7 @@ class PolyFp(_Poly):
     def monic(self) -> "PolyFp":
         if self.is_zero():
             return self
-        return PolyFp._make(self.p, _monic_coeffs(self))
+        return PolyFp._make(self.p, _monic(self.coeffs, self.p))
 
     def derivative(self) -> "PolyFp":
         p = self.p
@@ -326,7 +355,8 @@ class PolyFp(_Poly):
             raise ZeroDivisionError("polynomial division by zero")
         if e == 0:
             return PolyFp._make(self.p, (1,))
-        return PolyFp._make(self.p, _pow_mod(self.coeffs, e, _monic_coeffs(modulus), self.p))
+        p = self.p
+        return PolyFp._make(p, _pow_mod(self.coeffs, e, _monic(modulus.coeffs, p), p))
 
 
 # -- residue field k[x]/(pi) ---------------------------------------------------
@@ -334,7 +364,10 @@ class PolyFp(_Poly):
 
 def fq_inv(a: _Poly, pi: _Poly) -> _Poly:
     """Inverse of a modulo pi via the extended Euclidean algorithm, for
-    polynomials over F_p or Q."""
+    polynomials over F_p (on int lists) or Q."""
+    if isinstance(a, PolyFp):
+        a._check(pi)
+        return PolyFp._make(a.p, _inv_mod(a.coeffs, _monic(pi.coeffs, a.p), a.p))
     a = a % pi
     if a.is_zero():
         raise ZeroDivisionError("inverse of 0 in residue field")
@@ -372,101 +405,101 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
     r^(1 + p + ... + p^(d-1)) is the norm N(r) in F_p, the product of r over
     the roots of pi; so the test is N(r)^((p-1)/g) = 1 in F_p.
     """
-    p = r.p
-    if (r % pi).is_zero():
+    p, m = r.p, _monic(pi.coeffs, r.p)
+    r = _divmod_monic(r.coeffs, m, p)[1]
+    if not r:
         raise ZeroValuationError("power-class test of 0 in the residue field")
     q = p**pi.degree
     g = int_gcd(n, q - 1)
     if (p - 1) % g == 0:
-        return pow(_norm(_monic_coeffs(pi), r.coeffs, p), (p - 1) // g, p) == 1
-    return r.pow_mod((q - 1) // g, pi) == PolyFp.constant(p, 1)
+        return pow(_norm(m, r, p), (p - 1) // g, p) == 1
+    return _pow_mod(r, (q - 1) // g, m, p) == [1]
 
 
 # -- factorization over F_p ---------------------------------------------------
 
 
-def _squarefree_decomposition(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Monic squarefree decomposition [(g_i, m_i)] with f = prod g_i^{m_i},
-    correct in characteristic p (handles f' = 0 via the Frobenius identity
-    a^p = a on F_p)."""
-    p = f.p
-    out: list[tuple[PolyFp, int]] = []
+def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic squarefree decomposition [(g_i, m_i)] of a monic f, with
+    f = prod g_i^{m_i}, correct in characteristic p (handles f' = 0 via the
+    Frobenius identity a^p = a on F_p)."""
+    out: list[tuple[list[int], int]] = []
 
-    def rec(g: PolyFp, mult: int) -> None:
-        if g.is_constant():
+    def rec(g: list[int], mult: int) -> None:
+        if len(g) < 2:
             return
-        d = g.derivative()
-        if d.is_zero():
-            # g(x) = h(x^p) = h1(x)^p with h1 the p-th-root coefficient poly
-            root = PolyFp(p, tuple(g.coeffs[::p]))
-            rec(root, mult * p)
+        d = _trim([i * c % p for i, c in enumerate(g) if i])
+        if not d:
+            # g(x) = h(x^p) = h(x)^p, and h is monic
+            rec(g[::p], mult * p)
             return
-        c = g.gcd(d)
-        w = g // c
+        c = _gcd(g, d, p)
+        w = _divmod_monic(g, c, p)[0]
         i = 1
-        while not w.is_constant():
-            y = w.gcd(c)
-            z = w // y
-            if not z.is_constant():
-                out.append((z.monic(), mult * i))
+        while len(w) > 1:
+            y = _gcd(w, c, p)
+            z = _divmod_monic(w, y, p)[0]
+            if len(z) > 1:
+                out.append((z, mult * i))
             w = y
-            c = c // y
+            c = _divmod_monic(c, y, p)[0]
             i += 1
-        if not c.is_constant():
-            rec(c, mult)
+        rec(c, mult)
 
-    rec(f.monic(), 1)
+    rec(f, 1)
     return out
 
 
-def _distinct_degree(f: PolyFp) -> list[tuple[PolyFp, int]]:
-    """Split a monic squarefree f into [(product of irreducibles of degree d, d)]."""
-    p = f.p
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Split a monic squarefree f into [(product of irreducibles of degree d, d)].
+
+    Frobenius h -> h^p is F_p-linear on F_p[x]/(f), so it is applied from the
+    table x^(i p) mod f, i < deg f (von zur Gathen-Gerhard, ch. 14): one
+    power by p and deg f - 2 products, built once."""
+    n = len(f) - 1
+    if n < 2:
+        return [(f, n)]
+    frob = [[1], _pow_mod([0, 1], p, f, p)]
+    for _ in range(n - 2):
+        frob.append(_divmod_monic(_mul(frob[-1], frob[1]), f, p)[1])
+    cols = list(zip(*(row + [0] * (n - len(row)) for row in frob)))
     out = []
-    x = PolyFp.x(p)
-    h = x
-    g = f
-    d = 0
-    while g.degree > 2 * (d + 1) - 1 and not g.is_constant():
+    h, g, d = [0, 1], f, 0
+    while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = h.pow_mod(p, g)
-        factor_d = g.gcd(h - x)
-        if not factor_d.is_constant():
-            out.append((factor_d, d))
-            g = g // factor_d
-            h = h % g
-    if not g.is_constant():
-        out.append((g, g.degree))
+        h = _trim([sum(map(mul, h, col)) % p for col in cols])  # x^(p^d) mod f
+        part = _gcd(g, _add_mod(h, [0, 1], p, -1), p)
+        if len(part) > 1:
+            out.append((part, d))
+            g = _divmod_monic(g, part, p)[0]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
-def _equal_degree_split(f: PolyFp, d: int, rng: random.Random) -> list[PolyFp]:
+def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus: split a monic squarefree product of irreducibles of
     equal degree d into the irreducibles."""
-    p = f.p
-    if f.degree == d:
+    if len(f) - 1 == d:
         return [f]
-    one = PolyFp.constant(p, 1)
     while True:
-        r = PolyFp(p, tuple(rng.randrange(p) for _ in range(f.degree)))
-        if r.is_constant():
+        r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(r) < 2:
             continue
         if p == 2:
             # trace map sum r^(2^i) over the degree-d subfield
-            t = r % f
-            acc = t
+            t = acc = r
             for _ in range(d - 1):
-                t = t * t % f
-                acc = (acc + t) % f
-            g = f.gcd(acc)
+                t = _divmod_monic(_mul(t, t), f, p)[1]
+                acc = _add_mod(acc, t, p)
+            g = _gcd(f, acc, p)
         else:
-            g = f.gcd(r)
-            if g.is_constant():
-                e = (p**d - 1) // 2
-                g = f.gcd(r.pow_mod(e, f) - one)
-        if not g.is_constant() and g.degree < f.degree:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(
-                f // g, d, rng
+            g = _gcd(f, r, p)
+            if len(g) == 1:
+                g = _gcd(f, _add_mod(_pow_mod(r, (p**d - 1) // 2, f, p), [1], p, -1), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(
+                _divmod_monic(f, g, p)[0], d, p, rng
             )
 
 
@@ -474,19 +507,20 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """Factor a nonzero polynomial over F_p into monic irreducibles.
 
     Returns [(monic irreducible, multiplicity)] sorted by (degree, coeffs);
-    the product times f's leading coefficient reconstructs f.
+    the product times f's leading coefficient reconstructs f. All three
+    stages run on int lists; a PolyFp is built for each irreducible only.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
     if f.is_constant():
         return []
+    p = f.p
     # seeded per input so results are reproducible run to run
-    rng = random.Random(("gfpoly", f.p, f.coeffs).__repr__())
+    rng = random.Random(("gfpoly", p, f.coeffs).__repr__())
     out: list[tuple[PolyFp, int]] = []
-    for g, mult in _squarefree_decomposition(f):
-        for prod, d in _distinct_degree(g):
-            for irr in _equal_degree_split(prod, d, rng):
-                out.append((irr.monic(), mult))
+    for g, mult in _squarefree_decomposition(_monic(f.coeffs, p), p):
+        for prod, d in _distinct_degree(g, p):
+            out += [(PolyFp._make(p, irr), mult) for irr in _equal_degree_split(prod, d, p, rng)]
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -511,10 +545,9 @@ def is_irreducible_fp(f: PolyFp) -> bool:
     if n == 1:
         return True
     p = f.p
-    monic = f.monic()
-    m = monic.coeffs
+    m = _monic(f.coeffs, p)
     if p != 2:
-        disc = _norm(m, monic.derivative().coeffs, p)
+        disc = _norm(m, [i * c for i, c in enumerate(m) if i], p)
         if n * (n - 1) // 2 % 2:
             disc = -disc % p
         if disc == 0 or pow(disc, (p - 1) // 2, p) != (1 if n % 2 else p - 1):
@@ -522,35 +555,6 @@ def is_irreducible_fp(f: PolyFp) -> bool:
     h = [0, 1]
     for _ in range(n // 2):
         h = _pow_mod(h, p, m, p)
-        if not f.gcd(PolyFp._make(p, _add_mod(h, [0, 1], p, -1))).is_constant():
+        if len(_gcd(m, _add_mod(h, [0, 1], p, -1), p)) > 1:
             return False
     return True
-
-
-def monic_polys(p: int, degree: int):
-    """Yield all monic polynomials of the given degree over F_p."""
-    if degree == 0:
-        yield PolyFp.constant(p, 1)
-        return
-    counters = [0] * degree
-    while True:
-        yield PolyFp(p, tuple(counters) + (1,))
-        i = 0
-        while i < degree:
-            counters[i] += 1
-            if counters[i] < p:
-                break
-            counters[i] = 0
-            i += 1
-        else:
-            return
-
-
-def irreducible_monics(p: int, max_degree: int) -> list[PolyFp]:
-    """All monic irreducible polynomials over F_p of degree 1..max_degree."""
-    out = []
-    for d in range(1, max_degree + 1):
-        for f in monic_polys(p, d):
-            if is_irreducible_fp(f):
-                out.append(f)
-    return out

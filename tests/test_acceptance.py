@@ -30,8 +30,10 @@ from ramgenus.funcfield import (
     tame_residue,
     tame_symbol,
 )
-from ramgenus.gfpoly import PolyFp, fq_inv, irreducible_monics, residue_class_is_nth_power
+from ramgenus.gfpoly import PolyFp, fq_inv, residue_class_is_nth_power
 from ramgenus.localsymbols import REAL_PLACE, PlaceQ, hilbert, hilbert_oracle
+
+from enumerate_fp import irreducible_monics
 
 
 def report(number, name, detail):

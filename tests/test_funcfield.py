@@ -17,8 +17,10 @@ from ramgenus.funcfield import (
     tame_residue,
     tame_symbol,
 )
-from ramgenus.gfpoly import PolyFp, fq_inv, irreducible_monics, residue_class_is_nth_power
+from ramgenus.gfpoly import PolyFp, fq_inv, residue_class_is_nth_power
 from ramgenus.qpoly import PolyQ
+
+from enumerate_fp import irreducible_monics
 
 
 def rf_fp(p, num, den=None):
@@ -83,7 +85,19 @@ class TestPlacesOf:
         got_fp = [(str(w), v) for w, v in places_of(rf_fp(3, (1, 0, 1), (0, 1)))]
         assert got_fp == [("(x)", -1), ("(x^2 + 1)", 1), ("inf", -1)]
 
+    def test_degree_place_skips_the_primality_test(self, monkeypatch):
+        # the characteristic comes from an already validated PolyFp
+        import ramgenus.funcfield as ff
+
+        D = SymbolAlgebraFF(2, rf_fp(10007, (1, 0, 1), (0, 1)), rf_fp(10007, (3, 1)))
+        want, inf = residues(D), FFPlace.infinity(10007)
+        monkeypatch.setattr(ff, "is_prime", lambda _: pytest.fail("characteristic re-tested"))
+        assert residues(D) == want and want[-1].place == inf
+        assert places_of(D.a)[-1] == (inf, -1)
+
     def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            FFPlace.infinity(4)
         with pytest.raises(ValueError):
             FFPlace.finite(PolyQ.of([-1, 0, 1]))
         with pytest.raises(ValueError):

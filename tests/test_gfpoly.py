@@ -8,13 +8,13 @@ from ramgenus.gfpoly import (
     PolyFp,
     _norm,
     fq_inv,
-    irreducible_monics,
     is_irreducible_fp,
     is_square_fq,
-    monic_polys,
     poly_factor_fp,
     residue_class_is_nth_power,
 )
+
+from enumerate_fp import irreducible_monics, monic_polys
 
 
 def brute_is_irreducible(f: PolyFp) -> bool:
