@@ -43,8 +43,10 @@ class InputSizeError(RamgenusError):
 
 
 # powers are expanded densely at parse time, in time about quadratic in the
-# exponent; x^999999999 would allocate 10^9 coefficients
-MAX_EXPONENT = 256
+# exponent; x^999999999 would allocate 10^9 coefficients. So is every sum and
+# product, and each is refused before it is formed if its degree would pass
+# MAX_DEGREE: ((x+1)^256)^256 would reach degree 65,536
+MAX_EXPONENT = MAX_DEGREE = 256
 
 
 EXIT_OK = 0
@@ -145,29 +147,33 @@ class _Parser:
         if sign < 0:
             value = -value
         while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+            tok = self.next()
             rhs = self.parse_term()
-            value = value + rhs if op == "+" else value + (-rhs)
+            (n1, d1), (n2, d2) = _degrees(value), _degrees(rhs)
+            _cap_degree(max(n1 + d2, n2 + d1, d1 + d2), tok.pos)
+            value = value + rhs if tok.kind == "+" else value + (-rhs)
         return value
 
     def parse_term(self) -> RationalFunction:
         value = self.parse_power()
         while True:
-            kind = self.peek().kind
-            if kind in ("*", "/"):
-                op = self.next().kind
+            tok = self.peek()
+            if tok.kind in ("*", "/"):
+                self.next()
                 rhs = self.parse_power()
-                if op == "/":
+                if tok.kind == "/":
                     if rhs.is_zero():
                         raise ParseError("division by zero", self.text, self.peek().pos)
                     rhs = rhs.inverse()
-                value = value * rhs
-            elif kind == "num" or kind == "(" or (
-                kind == "name" and self.peek().value == "x"
+            elif tok.kind == "num" or tok.kind == "(" or (
+                tok.kind == "name" and tok.value == "x"
             ):
-                value = value * self.parse_power()  # implicit multiplication
+                rhs = self.parse_power()  # implicit multiplication
             else:
                 return value
+            (n1, d1), (n2, d2) = _degrees(value), _degrees(rhs)
+            _cap_degree(max(n1 + n2, d1 + d2), tok.pos)
+            value = value * rhs
 
     def parse_power(self) -> RationalFunction:
         base = self.parse_atom()
@@ -184,6 +190,7 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise InputSizeError(
                     f"exponent above the cap of {MAX_EXPONENT} (at position {tok.pos})")
+            _cap_degree(int(e) * max(_degrees(base)), tok.pos)
             return base.pow(-int(e) if neg else int(e))
         return base
 
@@ -204,6 +211,15 @@ class _Parser:
             self.next()
             return -self.parse_atom()
         raise ParseError("expected a number, x, or '('", self.text, tok.pos)
+
+
+def _degrees(rf: RationalFunction) -> tuple[int, int]:
+    return rf.num.degree, rf.den.degree
+
+
+def _cap_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise InputSizeError(f"degree above the cap of {MAX_DEGREE} (at position {pos})")
 
 
 def _const_rf(q: Fraction) -> RationalFunction:

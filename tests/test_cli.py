@@ -10,6 +10,7 @@ from ramgenus.cli import (
     EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    MAX_DEGREE,
     MAX_EXPONENT,
     InputSizeError,
     Report,
@@ -72,6 +73,18 @@ class TestParsing:
             with pytest.raises(InputSizeError) as err:
                 parse_algebra(text)
             assert not isinstance(err.value, ParseError)
+
+    def test_degree_cap_on_products_sums_and_powers(self):
+        # the degree a sum, product or power would reach is checked before it
+        # is expanded; results of degree MAX_DEGREE still parse
+        d = MAX_DEGREE
+        for text in (f"x^{d - 1} * x", f"x^{d} + 1/x^0", f"1/(x+1)^{d - 1} + x",
+                     f"(x^{d // 2})^2"):
+            assert max(parse_algebra(f"({text}, x; n=2, k=F5)").a.num.degree, 0) <= d
+        for text in (f"x^{d} * x", f"x^{d}(x+1)", f"x / (1/x^{d})", f"1/x^{d} + 1/(x+1)",
+                     f"(x^{d // 2 + 1})^2", f"((x+1)^{d})^{d}", f"(x+1)^{d} - 1/(x+2)^{d}"):
+            with pytest.raises(InputSizeError, match=f"cap of {d}"):
+                parse_algebra(f"({text}, x; n=2, k=F5)")
 
     def test_rational(self):
         assert parse_rational("-10") == -10
@@ -215,6 +228,13 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_PRECONDITION
         assert time.perf_counter() - start < 5
         assert f"cap of {MAX_EXPONENT}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["((x+1)^256)^256", "((x+1)^256)^2", "(x+1)^256 (x+1)^256"])
+    def test_degree_above_the_cap_fails_at_once(self, entry, capsys):
+        start = time.perf_counter()
+        assert main(["ff-ramify", f"({entry}, x; n=2, k=Q)"]) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 1  # expanding (x+1)^256 over Q alone takes 0.15 s
+        assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
 
     def test_structured_format(self, capsys):
         assert main(["ramify", "(-1,3)", "--format", "structured"]) == EXIT_OK
