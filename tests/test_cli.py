@@ -233,7 +233,7 @@ class TestMainExitCodes:
     def test_degree_above_the_cap_fails_at_once(self, entry, capsys):
         start = time.perf_counter()
         assert main(["ff-ramify", f"({entry}, x; n=2, k=Q)"]) == EXIT_PRECONDITION
-        assert time.perf_counter() - start < 1  # expanding (x+1)^256 over Q alone takes 0.15 s
+        assert time.perf_counter() - start < 2  # expanding (x+1)^256 over Q alone takes 0.15 s
         assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
 
     def test_structured_format(self, capsys):
