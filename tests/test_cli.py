@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramgenus.brauerq import QuaternionQ
 from ramgenus.cli import (
@@ -14,6 +16,7 @@ from ramgenus.cli import (
     MAX_EXPONENT,
     InputSizeError,
     Report,
+    _tokenize,
     main,
     parse_algebra,
     parse_curve,
@@ -110,6 +113,83 @@ class TestParsing:
         assert parse_places("inf,2,3") == [REAL_PLACE, PlaceQ.finite(2), PlaceQ.finite(3)]
         with pytest.raises(ParseError):
             parse_places("inf,abc")
+
+
+def _reference_tokenize(text):
+    """The hand-written scanner that ``_tokenize`` replaced, kept as the
+    reference for its token kinds, values, positions and errors."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            num = int(text[i:j])
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k < n and text[k] == "/":
+                m = k + 1
+                while m < n and text[m].isspace():
+                    m += 1
+                if m < n and text[m].isdigit():
+                    e = m
+                    while e < n and text[e].isdigit():
+                        e += 1
+                    den = int(text[m:e])
+                    if den == 0:
+                        raise ParseError("zero denominator", text, i)
+                    toks.append(("num", Fraction(num, den), i))
+                    i = e
+                    continue
+            toks.append(("num", Fraction(num), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^(),;=":
+            toks.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", text, i)
+    toks.append(("end", None, n))
+    return toks
+
+
+def _tokens(text):
+    return [(t.kind, t.value, t.pos) for t in _tokenize(text)]
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+class TestLexer:
+    # the grammar's alphabet, whitespace, two stray ASCII characters, a
+    # non-ASCII letter and a full-width digit (a decimal digit for int())
+    ALPHABET = "0123456789+-*/^(),;=xyknFQrots_ \t\n$.é３"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=ALPHABET, max_size=40))
+    def test_matches_the_reference_scanner(self, text):
+        assert _outcome(_tokens, text) == _outcome(_reference_tokenize, text)
+
+    @pytest.mark.parametrize("text", ["3 / 4x", "3/ 0", "12/", "1/2/3", "x_1é", "_x", "３/４"])
+    def test_matches_the_reference_scanner_on_edges(self, text):
+        assert _outcome(_tokens, text) == _outcome(_reference_tokenize, text)
 
 
 class TestCommands:
