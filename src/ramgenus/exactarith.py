@@ -14,8 +14,6 @@ from math import gcd, isqrt
 from ._value import Value
 from .errors import PrimalityRangeError, ZeroValuationError
 
-Rational = Fraction
-
 # Deterministic Miller-Rabin: the first 13 prime bases certify primality for
 # all n < 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
 # all of them (Sorenson-Webster); without 41 the bound would be 3.2e23.
@@ -211,23 +209,12 @@ def valuation(a: Fraction | int, p: int) -> int:
     return v
 
 
-def unit_part(a: Fraction | int, p: int) -> Fraction:
-    """a / p^{v_p(a)}: the p-adic unit factor of a nonzero rational."""
-    return Fraction(a) / Fraction(p) ** valuation(a, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     a %= p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def legendre_fraction(a: Fraction | int, p: int) -> int:
-    """Legendre symbol of a p-adic unit rational: (n/d | p) = (n*d | p)."""
-    a = Fraction(a)
-    return legendre(a.numerator * a.denominator, p)
 
 
 def jacobi(a: int, n: int) -> int:

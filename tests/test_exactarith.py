@@ -16,11 +16,9 @@ from ramgenus.exactarith import (
     is_rational_square,
     jacobi,
     legendre,
-    legendre_fraction,
     primes_after,
     smallest_nonresidue,
     squarefree_part,
-    unit_part,
     valuation,
 )
 
@@ -124,16 +122,6 @@ class TestValuation:
     def test_zero_rejected(self):
         with pytest.raises(ZeroValuationError):
             valuation(Fraction(0), 5)
-
-    def test_unit_part(self):
-        assert unit_part(Fraction(12), 2) == 3
-        assert unit_part(Fraction(9, 8), 2) == 9
-        assert unit_part(Fraction(9, 8), 2) * 2 ** valuation(Fraction(9, 8), 2) == Fraction(9, 8)
-
-    def test_legendre_of_unit_fraction(self):
-        # (n/d | p) = (n*d | p): 2/3 = 2 * 3^{-1} = 4 mod 5, a residue
-        assert legendre_fraction(Fraction(2, 3), 5) == 1
-        assert legendre_fraction(Fraction(2, 1), 5) == -1
 
     @given(
         st.fractions(min_value=-999, max_value=999).filter(lambda q: q != 0),
