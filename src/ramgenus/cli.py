@@ -472,7 +472,7 @@ def _oracle_rows(D: QuaternionQ, places):
             got = -1 if D.a < 0 and D.b < 0 else 1
             route = "sign test"
         else:
-            got = hilbert_oracle(D.a, D.b, v.p, allow_dyadic=(v.p == 2))
+            got = hilbert_oracle(D.a, D.b, v.p)
             route = "mod p^k search with Hensel lifting"
         yield {"place": str(v), "hilbert": expected, "oracle": got, "route": route}
 

@@ -316,13 +316,8 @@ def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int) -> int:
 _ORACLE_PRIMES: set[int] = set()
 
 
-def hilbert_oracle(
-    a: Fraction | int,
-    b: Fraction | int,
-    p: int,
-    allow_dyadic: bool = False,
-) -> int:
-    """Brute-force Hilbert symbol over Q_p (odd p; p = 2 behind a flag).
+def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
+    """Brute-force Hilbert symbol over Q_p, p = 2 included.
 
     Drops even powers of p from both entries, then searches for primitive
     solutions of z^2 = a x^2 + b y^2 modulo p^k, k = 5 (odd p) or 8 (p = 2),
@@ -337,8 +332,6 @@ def hilbert_oracle(
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         _ORACLE_PRIMES.add(p)
-    if p == 2 and not allow_dyadic:
-        raise ValueError("p = 2 requires allow_dyadic=True (mod-8 criterion)")
     va, ua = _local_split(an, ad, p)
     vb, ub = _local_split(bn, bd, p)
     m = 8 if p == 2 else p  # units congruent mod m share a square class

@@ -128,10 +128,9 @@ def test_criterion_4_oracle_equivalence():
     checked = 0
     for p in (2, 3, 5, 7, 11, 13):
         v = PlaceQ.finite(p)
-        dyadic = p == 2
         for a in values:
             for b in values:
-                if hilbert(a, b, v) != hilbert_oracle(a, b, p, allow_dyadic=dyadic):
+                if hilbert(a, b, v) != hilbert_oracle(a, b, p):
                     raise AssertionError(f"mismatch at p={p}: ({a}, {b})")
                 checked += 1
     for a in values:

@@ -342,7 +342,7 @@ class TestOracleMismatch:
 
     @pytest.fixture(autouse=True)
     def negated_oracle(self, monkeypatch):
-        def oracle(a, b, p, allow_dyadic=False):
+        def oracle(a, b, p):
             return -hilbert(a, b, PlaceQ.finite(p))
 
         monkeypatch.setattr("ramgenus.cli.hilbert_oracle", oracle)

@@ -162,11 +162,10 @@ class TestOracle:
         assert hilbert_oracle(7, 7, 7) == hilbert(7, 7, PlaceQ.finite(7))
 
     def test_dyadic_flag(self):
-        with pytest.raises(ValueError):
-            hilbert_oracle(2, 3, 2)
-        assert hilbert_oracle(2, 3, 2, allow_dyadic=True) == hilbert(
-            2, 3, PlaceQ.finite(2)
-        )
+        # p = 2 runs the mod-8 search with no flag
+        v = PlaceQ.finite(2)
+        for a, b in ((2, 3), (-1, -1), (3, 5), (-1, 3), (5, Fraction(1, 2))):
+            assert hilbert_oracle(a, b, 2) == hilbert(a, b, v), (a, b)
 
     def test_agreement_at_any_valuation(self):
         # the search runs on the reduced entries, so no valuation is out of reach
@@ -178,18 +177,17 @@ class TestOracle:
             entries = [u * Fraction(p) ** e for u in pu for e in range(-9, 10)]
             for a in entries:
                 for b in entries[::7]:
-                    got = hilbert_oracle(a, b, p, allow_dyadic=p == 2)
+                    got = hilbert_oracle(a, b, p)
                     assert got == hilbert(a, b, v), (a, b, p)
 
     def test_entries_share_a_cache_entry_across_odd_valuations(self):
         # the search runs on reduced entries, so p^3 u and p u reach the same
         # cache key (the depth no longer grows with |v_p|)
         for p, u, b in ((3, 2, 5), (5, 2, 3), (7, 3, -1), (2, 3, 5)):
-            dyadic = p == 2
             before = _oracle_search.cache_info()
-            first = hilbert_oracle(p**3 * u, b, p, allow_dyadic=dyadic)
+            first = hilbert_oracle(p**3 * u, b, p)
             mid = _oracle_search.cache_info()
-            second = hilbert_oracle(p * u, b, p, allow_dyadic=dyadic)
+            second = hilbert_oracle(p * u, b, p)
             after = _oracle_search.cache_info()
             assert first == second == hilbert(p * u, b, PlaceQ.finite(p))
             assert mid.currsize - before.currsize <= 1
@@ -201,13 +199,12 @@ class TestOracle:
         units += [Fraction(1, 3), Fraction(-5, 7), Fraction(11, 5)]
         for p in (2, 3, 5):
             v = PlaceQ.finite(p)
-            dyadic = p == 2
             pu = [u for u in units if u.numerator % p and u.denominator % p]
             deep = [u * Fraction(p) ** e for u in pu for e in (-4, -3, -2, 2, 3, 4)]
             shallow = [u * Fraction(p) ** e for u in pu for e in (-1, 0, 1)]
             for a in deep:
                 for b in shallow + deep:
-                    got = hilbert_oracle(a, b, p, allow_dyadic=dyadic)
+                    got = hilbert_oracle(a, b, p)
                     assert got == hilbert(a, b, v), (a, b, p)
 
     def test_agreement_small_grid(self):
@@ -224,7 +221,7 @@ class TestOracle:
         v = PlaceQ.finite(2)
         for a in vals:
             for b in vals:
-                assert hilbert_oracle(a, b, 2, allow_dyadic=True) == hilbert(a, b, v)
+                assert hilbert_oracle(a, b, 2) == hilbert(a, b, v)
 
     def test_projective_points_one_per_scaling_class(self):
         for p in (2, 3, 5, 7):
@@ -258,7 +255,7 @@ class TestInvariant:
 
     def test_dyadic_matches_oracle(self):
         inv = invariant(2, 3, PlaceQ.finite(2))
-        oracle = hilbert_oracle(2, 3, 2, allow_dyadic=True)
+        oracle = hilbert_oracle(2, 3, 2)
         assert (inv.value == 0) == (oracle == 1)
 
     def test_additive(self):

@@ -91,7 +91,7 @@ def test_every_input_form_answers_as_its_fraction():
             r = Fraction(y)
             assert hilbert_oracle(x, y, 3) == hilbert_oracle(q, r, 3), (x, y)
             assert hilbert_oracle(x, y, 5) == hilbert(q, r, PlaceQ.finite(5)), (x, y)
-            assert hilbert_oracle(x, y, 2, allow_dyadic=True) == hilbert(q, r, PLACES[0])
+            assert hilbert_oracle(x, y, 2) == hilbert(q, r, PLACES[0])
 
 
 def test_zero_raises_in_every_form():
@@ -108,7 +108,7 @@ def test_zero_raises_in_every_form():
         with pytest.raises(ZeroValuationError):
             hilbert_oracle(zero, 3, 3)
         with pytest.raises(ZeroValuationError):
-            hilbert_oracle(Fraction(1, 2), zero, 2, allow_dyadic=True)
+            hilbert_oracle(Fraction(1, 2), zero, 2)
 
 
 def test_inputs_fraction_rejects_are_rejected():
