@@ -224,7 +224,7 @@ class TestCommands:
         assert status == EXIT_OK
         assert [e["place"] for e in report.result["ramified_places"]] == ["(x)", "inf"]
 
-    def test_ff_ramify_unresolved_exit_code(self):
+    def test_ff_ramify_proven_square_exits_zero(self):
         # 2 is a square modulo x^2 - 2 though not in Q: a proven verdict,
         # where a prime scan could only leave the place unresolved
         report, status, _ = run(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"])
@@ -295,7 +295,7 @@ class TestMainExitCodes:
         assert main(["embed", "10", "(1, 5)"]) == EXIT_PRECONDITION
         assert "error" in capsys.readouterr().err
 
-    def test_unresolved_square(self, capsys):
+    def test_proven_square_exits_zero(self, capsys):
         assert main(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"]) == EXIT_OK
         assert "count: 0" in capsys.readouterr().out
 
