@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -67,52 +68,27 @@ class _Token(Value):
         object.__setattr__(self, "pos", pos)
 
 
+# a number, with "/ denominator" when a digit follows the slash; a name; one
+# punctuation character; else any one non-space character, which is refused
+_TOKEN = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|(\w+)|([-+*/^(),;=])|(\S)")
+
+
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n and text[k] == "/":
-                m = k + 1
-                while m < n and text[m].isspace():
-                    m += 1
-                if m < n and text[m].isdigit():
-                    e = m
-                    while e < n and text[e].isdigit():
-                        e += 1
-                    den = int(text[m:e])
-                    if den == 0:
-                        raise ParseError("zero denominator", text, i)
-                    toks.append(_Token("num", Fraction(num, den), i))
-                    i = e
-                    continue
-            toks.append(_Token("num", Fraction(num), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^(),;=":
-            toks.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    toks.append(_Token("end", None, n))
+    for m in _TOKEN.finditer(text):
+        num, den, name, punct, _ = m.groups()
+        i = m.start()
+        if num:
+            if den and int(den) == 0:
+                raise ParseError("zero denominator", text, i)
+            toks.append(_Token("num", Fraction(int(num), int(den or 1)), i))
+        elif name and name[0].isalpha():  # \w also matches "_" and digits like "²"
+            toks.append(_Token("name", name, i))
+        elif punct:
+            toks.append(_Token(punct, punct, i))
+        else:
+            raise ParseError(f"unexpected character {text[i]!r}", text, i)
+    toks.append(_Token("end", None, len(text)))
     return toks
 
 
@@ -693,83 +669,56 @@ def _cmd_oracle_check(args) -> Report:
 # -- entry point ----------------------------------------------------------------
 
 
+# command name -> (handler, help, [(argument name or flag, add_argument keywords)])
+COMMANDS = {
+    "ramify": (_cmd_ramify, "ramified places of (a, b) over Q", [
+        ("algebra", {"help": 'e.g. "(-1, 3)"'}),
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check every place against the brute-force oracle"}),
+    ]),
+    "embed": (_cmd_embed, "does Q(sqrt(d)) embed into (a, b)?", [
+        ("d", {"help": "rational whose square class defines the field"}),
+        ("algebra", {"help": 'e.g. "(-1, 7)"'}),
+    ]),
+    "distinguish": (_cmd_distinguish, "quadratic field embedding into exactly one algebra", [
+        ("first", {}),
+        ("second", {}),
+        ("--max-witness", {"type": int, "default": 10**6, "help": "search cap on |d|"}),
+    ]),
+    "unramified-group": (_cmd_unramified_group, "quaternion classes over Q unramified outside S", [
+        ("--places", {"required": True, "help": "comma list, e.g. inf,2,3"}),
+    ]),
+    "ff-ramify": (_cmd_ff_ramify, "ramified geometric places of a symbol algebra", [
+        ("algebra", {"help": 'e.g. "(x, x; n=2, k=F3)"'}),
+    ]),
+    "genus-bound": (_cmd_genus_bound, "genus-size bound for a symbol algebra", [("algebra", {})]),
+    "elliptic-bound": (_cmd_elliptic_bound,
+                       "genus bound over the function field of a split elliptic curve", [
+        ("curve", {"help": 'e.g. "y^2 = x^3 - x" or "roots = 0,1,-1"'}),
+        ("--extra-places", {"default": "", "help": "comma list of primes to add to S"}),
+    ]),
+    "oracle-check": (_cmd_oracle_check, "compare hilbert against the search oracle", [
+        ("algebra", {}),
+        ("--places", {"default": "", "help": "comma list (default: candidate places)"}),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        help="text report or a single JSON document",
-    )
+    common.add_argument("--format", choices=("text", "structured"), default="text",
+                        help="text report or a single JSON document")
     parser = argparse.ArgumentParser(
         prog="ramgenus",
         description="Exact ramification data, embedding criteria, and genus "
         "bounds for quaternion and symbol algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ramify", parents=[common], help="ramified places of (a, b) over Q")
-    p.add_argument("algebra", help='e.g. "(-1, 3)"')
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check every place against the brute-force oracle",
-    )
-    p.set_defaults(func=_cmd_ramify)
-
-    p = sub.add_parser("embed", parents=[common], help="does Q(sqrt(d)) embed into (a, b)?")
-    p.add_argument("d", help="rational whose square class defines the field")
-    p.add_argument("algebra", help='e.g. "(-1, 7)"')
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser(
-        "distinguish", parents=[common], help="quadratic field embedding into exactly one algebra"
-    )
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument(
-        "--max-witness", type=int, default=10**6, help="search cap on |d|"
-    )
-    p.set_defaults(func=_cmd_distinguish)
-
-    p = sub.add_parser(
-        "unramified-group",
-        parents=[common],
-        help="quaternion classes over Q unramified outside S",
-    )
-    p.add_argument("--places", required=True, help="comma list, e.g. inf,2,3")
-    p.set_defaults(func=_cmd_unramified_group)
-
-    p = sub.add_parser(
-        "ff-ramify", parents=[common], help="ramified geometric places of a symbol algebra"
-    )
-    p.add_argument("algebra", help='e.g. "(x, x; n=2, k=F3)"')
-    p.set_defaults(func=_cmd_ff_ramify)
-
-    p = sub.add_parser(
-        "genus-bound", parents=[common], help="genus-size bound for a symbol algebra"
-    )
-    p.add_argument("algebra")
-    p.set_defaults(func=_cmd_genus_bound)
-
-    p = sub.add_parser(
-        "elliptic-bound",
-        parents=[common],
-        help="genus bound over the function field of a split elliptic curve",
-    )
-    p.add_argument("curve", help='e.g. "y^2 = x^3 - x" or "roots = 0,1,-1"')
-    p.add_argument(
-        "--extra-places", default="", help="comma list of primes to add to S"
-    )
-    p.set_defaults(func=_cmd_elliptic_bound)
-
-    p = sub.add_parser(
-        "oracle-check", parents=[common], help="compare hilbert against the search oracle"
-    )
-    p.add_argument("algebra")
-    p.add_argument("--places", default="", help="comma list (default: candidate places)")
-    p.set_defaults(func=_cmd_oracle_check)
-
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

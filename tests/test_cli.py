@@ -316,6 +316,11 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 2  # expanding (x+1)^256 over Q alone takes 0.15 s
         assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
 
+    def test_superscript_digit_is_a_parse_error(self, capsys):
+        # str.isdigit holds for "²" but int() refuses it, so it is no digit
+        assert main(["ramify", "(²,3)"]) == EXIT_PARSE
+        assert "unexpected character '²' (at position 1)" in capsys.readouterr().err
+
     def test_structured_format(self, capsys):
         assert main(["ramify", "(-1,3)", "--format", "structured"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
