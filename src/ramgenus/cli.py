@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Commands: ramify, embed, distinguish, unramified-group, ff-ramify,
-genus-bound, elliptic-bound, oracle-check. Input grammar is exact (rationals
-as p/q, polynomials in x with ^); output is a human-readable text report or a
-single JSON document with fields {command, inputs, result, factors?,
-provenance[]} (see README for the format contract).
+``COMMANDS`` maps each command (ramify, embed, distinguish, unramified-group,
+ff-ramify, genus-bound, elliptic-bound, oracle-check) to its handler, help and
+arguments; every handler returns one ``Report``. Input grammar is exact
+(rationals as p/q, polynomials in x with ^), read by a one-regex lexer and a
+recursive-descent parser that refuses exponents, degrees and coefficient bit
+lengths above fixed caps; output is a human-readable text report or a single
+JSON document with fields {command, inputs, result, factors?, provenance[]}
+(see README for the format contract).
 
 Exit codes: 0 success; 2 parse error; 3 precondition failure; 5 oracle
 cross-check mismatch.
@@ -46,8 +49,11 @@ class InputSizeError(RamgenusError):
 # powers are expanded densely at parse time, in time about quadratic in the
 # exponent; x^999999999 would allocate 10^9 coefficients. So is every sum and
 # product, and each is refused before it is formed if its degree would pass
-# MAX_DEGREE: ((x+1)^256)^256 would reach degree 65,536
+# MAX_DEGREE (((x+1)^256)^256 would reach degree 65,536) or if the bit length of
+# its coefficients, estimated from the operands, would pass MAX_BITS
+# (((3^256)^256)^256 would have 26.6 million bits)
 MAX_EXPONENT = MAX_DEGREE = 256
+MAX_BITS = 4096
 
 
 EXIT_OK = 0
@@ -125,8 +131,8 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             tok = self.next()
             rhs = self.parse_term()
-            (n1, d1), (n2, d2) = _degrees(value), _degrees(rhs)
-            _cap_degree(max(n1 + d2, n2 + d1, d1 + d2), tok.pos)
+            (n1, d1, h1), (n2, d2, h2) = _size(value), _size(rhs)
+            _cap(max(n1 + d2, n2 + d1, d1 + d2), h1 + h2, tok.pos)
             value = value + rhs if tok.kind == "+" else value + (-rhs)
         return value
 
@@ -147,8 +153,8 @@ class _Parser:
                 rhs = self.parse_power()  # implicit multiplication
             else:
                 return value
-            (n1, d1), (n2, d2) = _degrees(value), _degrees(rhs)
-            _cap_degree(max(n1 + n2, d1 + d2), tok.pos)
+            (n1, d1, h1), (n2, d2, h2) = _size(value), _size(rhs)
+            _cap(max(n1 + n2, d1 + d2), h1 + h2, tok.pos)
             value = value * rhs
 
     def parse_power(self) -> RationalFunction:
@@ -166,7 +172,8 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise InputSizeError(
                     f"exponent above the cap of {MAX_EXPONENT} (at position {tok.pos})")
-            _cap_degree(int(e) * max(_degrees(base)), tok.pos)
+            n, d, h = _size(base)
+            _cap(int(e) * max(n, d), int(e) * h, tok.pos)
             return base.pow(-int(e) if neg else int(e))
         return base
 
@@ -189,13 +196,19 @@ class _Parser:
         raise ParseError("expected a number, x, or '('", self.text, tok.pos)
 
 
-def _degrees(rf: RationalFunction) -> tuple[int, int]:
-    return rf.num.degree, rf.den.degree
+def _size(rf: RationalFunction) -> tuple[int, int, int]:
+    """Degrees of numerator and denominator, and the largest bit length of a
+    coefficient's numerator or denominator."""
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in rf.num.coeffs + rf.den.coeffs)
+    return rf.num.degree, rf.den.degree, bits
 
 
-def _cap_degree(degree: int, pos: int) -> None:
-    if degree > MAX_DEGREE:
-        raise InputSizeError(f"degree above the cap of {MAX_DEGREE} (at position {pos})")
+def _cap(degree: int, bits: int, pos: int) -> None:
+    for what, size, cap in (("degree", degree, MAX_DEGREE),
+                            ("coefficient bit length", bits, MAX_BITS)):
+        if size > cap:
+            raise InputSizeError(f"{what} above the cap of {cap} (at position {pos})")
 
 
 def _const_rf(q: Fraction) -> RationalFunction:

@@ -12,6 +12,7 @@ from ramgenus.cli import (
     EXIT_ORACLE_MISMATCH,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    MAX_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
     InputSizeError,
@@ -88,6 +89,19 @@ class TestParsing:
                      f"(x^{d // 2 + 1})^2", f"((x+1)^{d})^{d}", f"(x+1)^{d} - 1/(x+2)^{d}"):
             with pytest.raises(InputSizeError, match=f"cap of {d}"):
                 parse_algebra(f"({text}, x; n=2, k=F5)")
+
+    def test_coefficient_cap_on_products_sums_and_powers(self):
+        # the bit length of coefficients is estimated from the operands (the
+        # sum of theirs, or the exponent times the base's) before the result
+        # is formed; 2^255 has 256 bits
+        assert MAX_BITS == 16 * 256
+        for text in ("(2^255)^16", "(2^255)^8 (2^255)^8", "(2^255)^8 - 1/(2^255)^8",
+                     "(2^255 x + 1)^16"):
+            parse_algebra(f"({text}, x; n=2, k=Q)")
+        for text in ("(2^255)^17", "(2^255)^9 * (2^255)^8", "(2^255)^9 + (2^255)^8",
+                     "1/(2^255)^9 + 1/(2^255)^8", "(2^255 x + 1)^17", "((3^256)^256)^256"):
+            with pytest.raises(InputSizeError, match=f"cap of {MAX_BITS}"):
+                parse_algebra(f"({text}, x; n=2, k=Q)")
 
     def test_rational(self):
         assert parse_rational("-10") == -10
@@ -315,6 +329,16 @@ class TestMainExitCodes:
         assert main(["ff-ramify", f"({entry}, x; n=2, k=Q)"]) == EXIT_PRECONDITION
         assert time.perf_counter() - start < 2  # expanding (x+1)^256 over Q alone takes 0.15 s
         assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ramify", "(((3^256)^256)^256, 3)"],
+        ["ff-ramify", "((3^256 x + 1)^256, x; n=2, k=Q)"],
+    ])
+    def test_coefficients_above_the_cap_fail_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        assert main(argv) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 2  # expanding either one takes 8-10 s
+        assert f"cap of {MAX_BITS}" in capsys.readouterr().err
 
     def test_superscript_digit_is_a_parse_error(self, capsys):
         # str.isdigit holds for "²" but int() refuses it, so it is no digit
