@@ -76,13 +76,13 @@ class _Token(Value):
 
 # a number, with "/ denominator" when a digit follows the slash; a name; one
 # punctuation character; else any one non-space character, which is refused
-_TOKEN = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|(\w+)|([-+*/^(),;=])|(\S)")
+_TOKEN = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|(\w+)|([-+*/^(),;=])|\S")
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
     for m in _TOKEN.finditer(text):
-        num, den, name, punct, _ = m.groups()
+        num, den, name, punct = m.groups()
         i = m.start()
         if num:
             if den and int(den) == 0:
