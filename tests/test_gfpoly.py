@@ -222,10 +222,11 @@ class TestFactorAgainstSympy:
                 if not f.is_constant():
                     assert poly_factor_fp(f) == sympy_factors(f), (p, f.coeffs)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_products_of_distinct_irreducibles_of_one_degree(self, d):
-        # equal-degree splitting (the trace branch at p = 2) must separate
-        # three or more factors of the same degree
+        # equal-degree splitting (the trace at p = 2, the norm at odd p) must
+        # separate two or more factors of the same degree, three or more up
+        # to d = 4
         rng = random.Random(47 + d)
         for p in self.PRIMES:
             count = 12 // d

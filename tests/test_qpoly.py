@@ -57,6 +57,34 @@ class TestArithmetic:
         assert content == Fraction(1, 4)
 
 
+def euclid_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
+    """The reference: Euclid on Fraction coefficients, made monic."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
+
+
+class TestGcd:
+    def test_against_fraction_euclid(self):
+        # random pairs with a planted common factor, degree at most 12
+        rng = random.Random(1976)
+        for _ in range(200):
+            h = random_polyq(rng, 4)
+            f = random_polyq(rng, 12 - h.degree) * h
+            g = random_polyq(rng, 12 - h.degree) * h
+            d = f.gcd(g)
+            assert d == euclid_gcd(f, g), (str(f), str(g))
+            assert d.is_monic() and (d % h.monic()).is_zero()
+
+    def test_zero_and_constant_operands(self):
+        zero, c = PolyQ(()), PolyQ.constant(Fraction(-3, 4))
+        f = PolyQ.of([Fraction(1, 2), -3, Fraction(5, 3)])
+        for a, b in ((zero, zero), (f, zero), (zero, f), (c, zero), (zero, c), (c, f), (f, c), (f, f)):
+            assert a.gcd(b) == euclid_gcd(a, b), (str(a), str(b))
+        assert zero.gcd(zero).is_zero()
+        assert f.gcd(zero) == f.monic() and c.gcd(f) == PolyQ.constant(1)
+
+
 class TestFactor:
     def test_difference_of_squares(self):
         f = PolyQ.of([-1, 0, 1])
@@ -140,16 +168,18 @@ def sympy_factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
 
 class TestFactorAgainstSympy:
     @staticmethod
-    def random_product(rng, max_deg=12, height=20):
-        """A product of random non-monic rational factors, some repeated."""
-        f = PolyQ.constant(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
+    def random_product(rng, max_deg=12, height=20, mults=(1, 1, 1, 2, 3), f=None):
+        """A product of random non-monic rational factors, some repeated,
+        times f (a random constant if not given)."""
+        if f is None:
+            f = PolyQ.constant(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5)))
         while True:
             d = rng.randint(1, 4)
             g = PolyQ(
                 tuple(Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(d))
                 + (Fraction(rng.randint(1, 5), rng.randint(1, 2)),)
             )
-            mult = rng.choice((1, 1, 1, 2, 3))
+            mult = rng.choice(mults)
             if f.degree + d * mult > max_deg:
                 return f
             for _ in range(mult):
@@ -162,6 +192,17 @@ class TestFactorAgainstSympy:
             if f.is_constant():
                 continue
             assert factor_q(f) == sympy_factor_q(f), str(f)
+        # squarefree over Q but not modulo the first prime p not dividing the
+        # leading coefficient: x^2 + x + 1 = (x - 1)^2 mod 3, x^3 - 2 =
+        # (x + 1)^3 mod 3, and 3x^2 + 3x - 3 = 3 (x - 2)^2 mod 5 (3 | lc);
+        # then multiplicities up to 4 on top of them
+        w, c, v = PolyQ.of([1, 1, 1]), PolyQ.of([-2, 0, 0, 1]), PolyQ.of([-3, 3, 3])
+        for f in (w, w * c, v, v * w, v * c * PolyQ.of([1, 0, 1])):
+            assert factor_q(f) == sympy_factor_q(f), str(f)
+        for base in (w, c, v, w * w * w * w, c * c * v):
+            for _ in range(8):
+                f = self.random_product(rng, max_deg=16, mults=(1, 2, 3, 4), f=base)
+                assert factor_q(f) == sympy_factor_q(f), str(f)
 
     def test_coefficients_near_1e9(self):
         rng = random.Random(15)
