@@ -5,19 +5,20 @@ with the zero polynomial represented by the empty tuple. All values are
 immutable; every operation returns a fresh polynomial.
 
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
-``_add_mod``, ``_divmod_monic``, the monic ``_gcd`` and the inverse
-``_inv_mod``; ``qpoly``'s Hensel lifting shares them), reduced once per
-product. Only the public constructors (``PolyFp(...)``, ``of``, ``constant``,
-``x``) check the characteristic and reduce coefficients; ring operations
-build their results with the trusted ``PolyFp._make``.
+``_add_mod``, ``_divmod_monic``, the monic ``_gcd``, the inverse
+``_inv_mod``; ``qpoly``'s Hensel lifting and its set-up share them), reduced
+once per product. Only the public constructors (``PolyFp(...)``, ``of``,
+``constant``, ``x``) check p and reduce coefficients; ring operations build
+their results with the trusted ``PolyFp._make``.
 
-``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, Euclid,
-``pow_mod`` and printing) and ``fq_inv``, the inverse in k[x]/(pi); PolyFp
-overrides the parts the int-list kernel runs faster.
+``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, ``monic``,
+``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi); each has
+its own gcd, and PolyFp overrides what the int-list kernel runs faster.
 
 ``poly_factor_fp`` runs all three stages on int lists and builds a PolyFp
-only for each irreducible it returns; the distinct-degree stage applies
-Frobenius from a table of x^(i p) mod f, built once per squarefree part.
+only for each irreducible it returns. Per squarefree part it builds one
+Frobenius table of x^(i p) mod f (``_frobenius``), which the distinct-degree
+and the equal-degree stage both apply.
 
 Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
 by Euclid (``_norm``), whenever the class-group order divides p - 1; every
@@ -163,9 +164,9 @@ def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
 
 class _Poly(Value):
     """What a dense polynomial over a field k does independently of k:
-    ``coeffs`` ascending with trailing zeros stripped, structure, Euclid and
-    printing. A subclass supplies ``_like(coeffs)``, a polynomial over the
-    same field, and ``_inv(c)``, the inverse of a nonzero scalar."""
+    ``coeffs`` ascending with trailing zeros stripped, structure, ``monic``,
+    ``pow_mod`` and printing. A subclass supplies ``gcd``, ``_like(coeffs)``
+    (a polynomial over the same field) and ``_inv(c)`` (a scalar inverse)."""
 
     __slots__ = ()
 
@@ -198,12 +199,6 @@ class _Poly(Value):
         if self.is_zero():
             return self
         return self.scale(self._inv(self.leading()))
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def pow_mod(self, e: int, modulus):
         """self^e in k[x]/(modulus), left to right; for e < 0 the inverse of
@@ -328,10 +323,9 @@ class PolyFp(_Poly):
             q = [c * inv % p for c in q]
         return PolyFp._make(p, q), PolyFp._make(p, r)
 
-    def monic(self) -> "PolyFp":
-        if self.is_zero():
-            return self
-        return PolyFp._make(self.p, _monic(self.coeffs, self.p))
+    def gcd(self, other: "PolyFp") -> "PolyFp":
+        self._check(other)
+        return PolyFp._make(self.p, _gcd(self.coeffs, other.coeffs, self.p))
 
     def derivative(self) -> "PolyFp":
         p = self.p
@@ -450,24 +444,27 @@ def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int
     return out
 
 
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split a monic squarefree f into [(product of irreducibles of degree d, d)].
-
-    Frobenius h -> h^p is F_p-linear on F_p[x]/(f), so it is applied from the
-    table x^(i p) mod f, i < deg f (von zur Gathen-Gerhard, ch. 14): one
-    power by p and deg f - 2 products, built once."""
+def _frobenius(f: list[int], p: int):
+    """h -> h^p mod f, for a monic f of degree n >= 2 and deg h < n: Frobenius
+    is F_p-linear, so it is applied from the table x^(i p) mod f, i < n (von
+    zur Gathen-Gerhard, ch. 14), built from one power by p and n - 2
+    products. One more remainder gives h^p modulo a divisor of f."""
     n = len(f) - 1
-    if n < 2:
-        return [(f, n)]
-    frob = [[1], _pow_mod([0, 1], p, f, p)]
+    rows = [[1], _pow_mod([0, 1], p, f, p)]
     for _ in range(n - 2):
-        frob.append(_divmod_monic(_mul(frob[-1], frob[1]), f, p)[1])
-    cols = list(zip(*(row + [0] * (n - len(row)) for row in frob)))
+        rows.append(_divmod_monic(_mul(rows[-1], rows[1]), f, p)[1])
+    cols = list(zip(*(row + [0] * (n - len(row)) for row in rows)))
+    return lambda h: _trim([sum(map(mul, h, col)) % p for col in cols])
+
+
+def _distinct_degree(f: list[int], frob, p: int) -> list[tuple[list[int], int]]:
+    """Split a monic squarefree f into [(product of irreducibles of degree d, d)],
+    with ``frob`` the Frobenius of F_p[x]/(f)."""
     out = []
     h, g, d = [0, 1], f, 0
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = _trim([sum(map(mul, h, col)) % p for col in cols])  # x^(p^d) mod f
+        h = frob(h)  # x^(p^d) mod f
         part = _gcd(g, _add_mod(h, [0, 1], p, -1), p)
         if len(part) > 1:
             out.append((part, d))
@@ -477,29 +474,29 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) -> list[list[int]]:
     """Cantor-Zassenhaus: split a monic squarefree product of irreducibles of
-    equal degree d into the irreducibles."""
+    equal degree d into the irreducibles, ``frob`` the Frobenius modulo a
+    multiple of f. For random r, d - 1 Frobenius steps give the trace
+    r + r^2 + ... + r^(2^(d-1)) (p = 2) or the norm r^(1 + p + ... + p^(d-1))
+    (odd p), whose power by (p - 1)/2 is r^((p^d - 1)/2); modulo each factor
+    either lies in F_p, so its gcd with f (less 1 for odd p) often splits f."""
     if len(f) - 1 == d:
         return [f]
     while True:
         r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if len(r) < 2:
             continue
-        if p == 2:
-            # trace map sum r^(2^i) over the degree-d subfield
-            t = acc = r
-            for _ in range(d - 1):
-                t = _divmod_monic(_mul(t, t), f, p)[1]
-                acc = _add_mod(acc, t, p)
-            g = _gcd(f, acc, p)
-        else:
-            g = _gcd(f, r, p)
-            if len(g) == 1:
-                g = _gcd(f, _add_mod(_pow_mod(r, (p**d - 1) // 2, f, p), [1], p, -1), p)
+        t = acc = r
+        for _ in range(d - 1):
+            t = _divmod_monic(frob(t), f, p)[1]
+            acc = _add_mod(acc, t, p) if p == 2 else _divmod_monic(_mul(acc, t), f, p)[1]
+        if p != 2:
+            acc = _add_mod(_pow_mod(acc, (p - 1) // 2, f, p), [1], p, -1)
+        g = _gcd(f, acc, p)
         if 1 < len(g) < len(f):
-            return _equal_degree_split(g, d, p, rng) + _equal_degree_split(
-                _divmod_monic(f, g, p)[0], d, p, rng
+            return _equal_degree_split(g, d, frob, p, rng) + _equal_degree_split(
+                _divmod_monic(f, g, p)[0], d, frob, p, rng
             )
 
 
@@ -519,8 +516,9 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     rng = random.Random(("gfpoly", p, f.coeffs).__repr__())
     out: list[tuple[PolyFp, int]] = []
     for g, mult in _squarefree_decomposition(_monic(f.coeffs, p), p):
-        for prod, d in _distinct_degree(g, p):
-            out += [(PolyFp._make(p, irr), mult) for irr in _equal_degree_split(prod, d, p, rng)]
+        frob = _frobenius(g, p) if len(g) > 2 else None  # a linear g needs none
+        for prod, d in _distinct_degree(g, frob, p):
+            out += [(PolyFp._make(p, u), mult) for u in _equal_degree_split(prod, d, frob, p, rng)]
     out.sort(key=lambda t: t[0].sort_key())
     return out
 

@@ -1,27 +1,31 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
 Arithmetic is Fraction arithmetic on coefficients stored ascending with
-trailing zeros stripped; structure, Euclid, ``pow_mod`` and printing come
-from ``gfpoly._Poly``, which PolyQ shares with PolyFp. Factorization works
-in Z[x] on the primitive integer model (Zassenhaus 1969; von zur
-Gathen-Gerhard, Modern Computer Algebra, ch. 15): squarefree parts,
-factorization modulo a small prime with ``gfpoly.poly_factor_fp``,
-quadratic Hensel lifting past a Mignotte bound, and recombination of lifted
-factors checked by exact division. The same factorizer decides squareness in
-a number field Q[x]/(pi) through Trager's norm method. It is self-contained:
-no computer-algebra system is imported.
+trailing zeros stripped; structure, ``pow_mod`` and printing come from
+``gfpoly._Poly``, which PolyQ shares with PolyFp, and so does ``fq_inv``
+(an extended Euclid on Fractions). Gcds and factorization work in Z[x] on
+the primitive integer model: the gcd is a primitive remainder sequence
+(``_gcd_z``), and factorization follows Zassenhaus (1969; von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 15): the squarefree part
+f / gcd(f, f') when needed, factorization modulo a small prime with
+``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a Mignotte bound,
+and recombination of lifted factors checked by exact division. The same
+factorizer decides squareness in a number field Q[x]/(pi) through Trager's
+norm method. It is self-contained: no computer-algebra system is imported.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from math import gcd as int_gcd
 
 from .errors import ZeroValuationError
 from .exactarith import is_rational_square, primes_after
-from .gfpoly import PolyFp, _add_mod, _Poly, _divmod_monic, _mul_mod, fq_inv, poly_factor_fp
+from .gfpoly import (
+    PolyFp, _add_mod, _divmod_monic, _inv_mod, _mul, _mul_mod, _Poly, _trim, poly_factor_fp
+)
 
 
 class PolyQ(_Poly):
@@ -41,9 +45,10 @@ class PolyQ(_Poly):
     def _inv(self, c: Fraction) -> Fraction:
         return 1 / c
 
-    # bound in the class body as well as inherited, so that PolyQ.gcd can be
-    # wrapped (traced, patched) apart from PolyFp.gcd
-    gcd = _Poly.gcd
+    def gcd(self, other: "PolyQ") -> "PolyQ":
+        """The monic gcd, from the primitive gcd of the integer models."""
+        g = _gcd_z(self.integer_model()[1], other.integer_model()[1])
+        return PolyQ(tuple(Fraction(c, g[-1]) for c in g))
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
@@ -73,15 +78,7 @@ class PolyQ(_Poly):
         return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if self.is_zero() or other.is_zero():
-            return PolyQ(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyQ(tuple(out))
+        return PolyQ(tuple(_mul(self.coeffs, other.coeffs)))
 
     def scale(self, c) -> "PolyQ":
         c = Fraction(c)
@@ -120,35 +117,50 @@ class PolyQ(_Poly):
         """(content, primitive integer coefficients): f = content * primitive."""
         if self.is_zero():
             return Fraction(0), ()
-        from math import lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        sign = 1 if ints[-1] > 0 else -1
-        g *= sign
-        return Fraction(g, den), tuple(v // g for v in ints)
+        den = lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        prim = _primitive(ints)
+        return Fraction(ints[-1] // prim[-1], den), tuple(prim)
 
     def reduce_mod(self, p: int) -> PolyFp:
         """Reduction modulo p; requires every denominator to be a p-unit."""
-        out = []
         for c in self.coeffs:
             if c.denominator % p == 0:
                 raise ZeroDivisionError(f"coefficient {c} is not p-integral at {p}")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return PolyFp(p, tuple(out))
+        return PolyFp(p, tuple(c.numerator * pow(c.denominator, -1, p) for c in self.coeffs))
 
 
-# -- factorization in Z[x] ----------------------------------------------------
+# -- gcd and factorization in Z[x] --------------------------------------------
 #
 # Integer polynomials below are lists of ints, ascending and without trailing
 # zeros; "mod m" results are reduced into [0, m). The list kernel
-# (``_mul_mod``, ``_add_mod``, ``_divmod_monic``) is gfpoly's, used here
-# mod p^k.
+# (``_mul``, ``_mul_mod``, ``_add_mod``, ``_divmod_monic``, ``_inv_mod``) is
+# gfpoly's, used here mod p and p^k.
+
+
+def _primitive(a) -> list[int]:
+    """a over its content, leading coefficient positive (empty if a is)."""
+    g = int_gcd(*a)
+    return [c // g for c in a] if a and a[-1] > 0 else [-c // g for c in a]
+
+
+def _gcd_z(a, b) -> list[int]:
+    """The primitive part of gcd(a, b) in Z[x] (empty when both are), by the
+    primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each remainder
+    is the pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b over its
+    content, so no coefficient is a fraction or outgrows the subresultants."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        db, lb = len(b) - 1, b[-1]
+        rem = list(a)
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = rem.pop()
+            rem = [v * lb for v in rem]
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+        a, b = b, _primitive(_trim(rem))
+    return _primitive(a)
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
@@ -185,34 +197,32 @@ def _hensel_step(f, g, h, s, t, m: int):
     return g, h, s, t
 
 
-def _hensel_lift(f: list[int], factors: list[PolyFp], modulus: int) -> list[list[int]]:
+def _hensel_lift(f: list[int], factors: list, p: int, modulus: int) -> list[list[int]]:
     """Lift f = lc(f) * prod(factors) mod p, the factors monic and pairwise
     coprime mod p, to monic factors mod ``modulus`` = p^(2^j).
 
-    The factors are split in two halves, the two-factor split is lifted
-    quadratically, and each half is lifted on in turn (the factor tree of
-    von zur Gathen-Gerhard, Alg. 15.17, walked depth first).
+    The products g (times lc(f)) and h of the two halves of the factors get
+    s g + t h = 1 mod p from ``_inv_mod``; that split is lifted quadratically,
+    and each half is lifted on in turn (the factor tree of von zur
+    Gathen-Gerhard, Alg. 15.17, walked depth first).
     """
     if len(factors) == 1:
         inv = pow(f[-1], -1, modulus)
         return [[c * inv % modulus for c in f]]
-    p = factors[0].p
     half = len(factors) // 2
-    g0 = PolyFp(p, (f[-1],))
+    g, h = [f[-1] % p], [1]
     for u in factors[:half]:
-        g0 = g0 * u
-    h0 = PolyFp.constant(p, 1)
+        g = _mul_mod(g, u, p)
     for u in factors[half:]:
-        h0 = h0 * u
-    s0 = fq_inv(g0, h0)
-    t0 = (PolyFp.constant(p, 1) - s0 * g0) // h0
-    g, h, s, t = (list(u.coeffs) for u in (g0, h0, s0, t0))
+        h = _mul_mod(h, u, p)
+    s = _inv_mod(g, h, p)
+    t = _divmod_monic(_add_mod([1], _mul(s, g), p, -1), h, p)[0]
     m = p
     while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
         m *= m
-    return _hensel_lift(g, factors[:half], modulus) + _hensel_lift(
-        h, factors[half:], modulus
+    return _hensel_lift(g, factors[:half], p, modulus) + _hensel_lift(
+        h, factors[half:], p, modulus
     )
 
 
@@ -283,7 +293,7 @@ def _recombine(f: list[int], factors: list[PolyFp], allowed: set[int]) -> list[l
     modulus = p
     while modulus <= 2 * bound:
         modulus *= modulus
-    lifted = _hensel_lift(f, factors, modulus)
+    lifted = _hensel_lift(f, [u.coeffs for u in factors], p, modulus)
     out = []
     size = 1
     while 2 * size <= len(lifted):
@@ -293,11 +303,7 @@ def _recombine(f: list[int], factors: list[PolyFp], allowed: set[int]) -> list[l
             cand = [f[-1]]
             for i in subset:
                 cand = _mul_mod(cand, lifted[i], modulus)
-            cand = [c - modulus if 2 * c > modulus else c for c in cand]
-            content = 0
-            for c in cand:
-                content = int_gcd(content, c)
-            g = [c // content for c in cand]
+            g = _primitive([c - modulus if 2 * c > modulus else c for c in cand])
             if g[0] == 0 or f[0] % g[0]:
                 continue  # f(0) != 0, so a factor's constant term divides it
             q = _exact_quotient(f, g)
@@ -313,24 +319,6 @@ def _recombine(f: list[int], factors: list[PolyFp], allowed: set[int]) -> list[l
     return out
 
 
-def _yun(f: PolyQ) -> list[tuple[PolyQ, int]]:
-    """Squarefree decomposition over Q (Yun): [(monic g_i, i)] with g_i
-    squarefree, pairwise coprime and f = lc(f) prod g_i^i."""
-    d = f.derivative()
-    a = f.gcd(d)
-    b, c = f // a, d // a
-    out = []
-    i = 1
-    while not b.is_constant():
-        d = c - b.derivative()
-        a = b.gcd(d)
-        if not a.is_constant():
-            out.append((a, i))
-        b, c = b // a, d // a
-        i += 1
-    return out
-
-
 def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     """Factor a nonzero f over Q into (constant, [(monic irreducible, mult)]).
 
@@ -338,8 +326,9 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     factors are sorted by (degree, coefficients). Powers of x are split off
     first. If the rest stays squarefree modulo the first prime p not dividing
     its leading coefficient, it is squarefree over Q and that factorization
-    mod p is reused; otherwise Yun's algorithm splits it into squarefree
-    parts. Each part is factored by ``_factor_squarefree``.
+    mod p is reused by ``_factor_squarefree``. Otherwise that function
+    factors its squarefree part rest / gcd(rest, rest'), and each
+    irreducible's multiplicity is the number of times it divides rest.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
@@ -357,9 +346,12 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
         if all(mult == 1 for _, mult in parts):
             found += [(g, 1) for g in _factor_squarefree(rest, (p, [u for u, _ in parts]))]
         else:
-            for part, mult in _yun(PolyQ.of(rest)):
-                _, prim = part.integer_model()
-                found += [(g, mult) for g in _factor_squarefree(list(prim))]
+            core = _exact_quotient(rest, _gcd_z(rest, [i * c for i, c in enumerate(rest) if i]))
+            for g in _factor_squarefree(core):
+                mult, q = 0, _exact_quotient(rest, g)
+                while q is not None:
+                    rest, mult, q = q, mult + 1, _exact_quotient(q, g)
+                found.append((g, mult))
     out = [(PolyQ(tuple(Fraction(c, g[-1]) for c in g)), mult) for g, mult in found]
     out.sort(key=lambda t: t[0].sort_key())
     return f.leading(), out

@@ -334,6 +334,15 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 2  # expanding (x+1)^256 over Q alone takes 0.15 s
         assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
 
+    def test_quotient_of_degree_96_over_q_parses_at_once(self):
+        # reducing the quotient by a gcd in Q[x]: Euclid on Fraction
+        # coefficients takes about 40 s on it, the primitive gcd on the
+        # integer models a tenth of a second
+        start = time.perf_counter()
+        D = parse_algebra("(((x+1)^96 + 3)/((x+2)^96 + 5), x; n=2, k=Q)")
+        assert time.perf_counter() - start < 2
+        assert (D.a.num.degree, D.a.den.degree) == (96, 96) and D.a.den.is_monic()
+
     @pytest.mark.parametrize("argv", [
         ["ramify", "(((3^256)^256)^256, 3)"],
         ["ff-ramify", "((3^256 x + 1)^256, x; n=2, k=Q)"],
