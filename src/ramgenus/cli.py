@@ -275,7 +275,7 @@ def parse_algebra(text: str) -> QuaternionQ | SymbolAlgebraFF:
     parser.expect("end")
     if ktok.value == "Q":
         return SymbolAlgebraFF(n, a, b)
-    if ktok.value.startswith("F") and ktok.value[1:].isdigit():
+    if ktok.value.startswith("F") and ktok.value[1:].isdecimal():
         p = int(ktok.value[1:])
         return SymbolAlgebraFF(
             n, _to_fp(a, p, text, first_pos), _to_fp(b, p, text, second_pos)
@@ -325,7 +325,7 @@ def parse_places(text: str) -> list[PlaceQ]:
             continue
         if chunk == "inf":
             out.append(REAL_PLACE)
-        elif chunk.isdigit():
+        elif chunk.isdecimal():
             out.append(PlaceQ.finite(int(chunk)))
         else:
             raise ParseError(f"bad place {chunk!r} (use a prime or 'inf')", text, 0)

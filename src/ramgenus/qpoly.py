@@ -24,7 +24,8 @@ from math import gcd as int_gcd
 from .errors import ZeroValuationError
 from .exactarith import is_rational_square, primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _divmod_monic, _inv_mod, _mul, _mul_mod, _Poly, _trim, poly_factor_fp
+    PolyFp, _add_mod, _check_char, _divmod_monic, _inv_mod, _mul, _mul_mod, _Poly, _trim,
+    poly_factor_fp,
 )
 
 
@@ -123,7 +124,8 @@ class PolyQ(_Poly):
         return Fraction(ints[-1] // prim[-1], den), tuple(prim)
 
     def reduce_mod(self, p: int) -> PolyFp:
-        """Reduction modulo p; requires every denominator to be a p-unit."""
+        """Reduction modulo a prime p; requires every denominator to be a p-unit."""
+        _check_char(p)
         for c in self.coeffs:
             if c.denominator % p == 0:
                 raise ZeroDivisionError(f"coefficient {c} is not p-integral at {p}")

@@ -358,6 +358,21 @@ class TestMainExitCodes:
         assert main(["ramify", "(²,3)"]) == EXIT_PARSE
         assert "unexpected character '²' (at position 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["unramified-group", "--places", "inf,²"], "bad place '²'"),
+        (["elliptic-bound", "roots = 0,1,-1", "--extra-places", "²"], "bad place '²'"),
+        (["ff-ramify", "(x, x; n=2, k=F²)"], "base field must be F<p> or Q"),
+    ])
+    def test_superscript_digit_in_a_place_or_field_is_a_parse_error(self, argv, message, capsys):
+        # places and k=F<p> accept what str.isdecimal accepts, as int() does
+        assert main(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_characteristic_that_is_not_prime(self, p, capsys):
+        assert main(["ff-ramify", f"(x, x; n=2, k=F{p})"]) == EXIT_PRECONDITION
+        assert f"characteristic {p} is not prime" in capsys.readouterr().err
+
     def test_structured_format(self, capsys):
         assert main(["ramify", "(-1,3)", "--format", "structured"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)

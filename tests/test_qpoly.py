@@ -43,6 +43,9 @@ class TestArithmetic:
         assert g.coeffs == (2, 1)  # 1/2 = 2 mod 3
         with pytest.raises(ZeroDivisionError):
             f.reduce_mod(2)
+        for p in (0, 1, 4):  # p is checked first, as the constructor of PolyFp does
+            with pytest.raises(ValueError, match=f"characteristic {p} is not prime"):
+                f.reduce_mod(p)
 
     def test_str_unit_coefficients(self):
         assert str(PolyQ.of([1, -1, 1])) == "x^2 - x + 1"
