@@ -153,7 +153,7 @@ def _gcd_z(a, b) -> list[int]:
     content, so no coefficient is a fraction or outgrows the subresultants."""
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    while len(b) > 1:
         db, lb = len(b) - 1, b[-1]
         rem = list(a)
         for i in range(len(rem) - 1, db - 1, -1):
@@ -162,7 +162,7 @@ def _gcd_z(a, b) -> list[int]:
             for j in range(db):
                 rem[i - db + j] -= c * b[j]
         a, b = b, _primitive(_trim(rem))
-    return _primitive(a)
+    return [1] if b else _primitive(a)
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
