@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramgenus.cli import parse_algebra
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.exactarith import is_rational_square
 from ramgenus.funcfield import (
@@ -435,6 +436,46 @@ class TestRamVOverQ:
         x = rf_q([0, 1])
         with pytest.raises(UnsupportedFieldError):
             ram_V_over_Q(SymbolAlgebraFF(3, x, x))
+
+
+def _stall_quotient(d):
+    # places (x) and the two degree-d factors, where Euclid on Fraction
+    # coefficients and Trager's M at every place once stalled the residues
+    return parse_algebra(f"(((x+1)^{d} + 3)/((x+2)^{d} + 5), x; n=2, k=Q)")
+
+
+def _square_family(d):
+    # (x + 1)^(-2) at the place x^d + 3: a square with a square norm
+    return parse_algebra(f"(x^{d} + 3, (x + 1)^2; n=2, k=Q)")
+
+
+class TestResidueStalls:
+    """High-degree places over Q(x), verdicts recorded with Euclid on
+    Fraction coefficients and Trager's norm method at every place."""
+
+    @pytest.mark.parametrize("d", [32, 48])
+    def test_quotient_family_verdicts(self, d):
+        out = residues(_stall_quotient(d))
+        assert [(w.place.degree, w.ramified) for w in out] == [(1, True), (d, True), (d, True), (1, False)]
+        assert [str(out[0].place), str(out[3].place)] == ["(x)", "inf"]
+
+    @pytest.mark.parametrize("d", [16, 24])
+    def test_square_family_is_unramified(self, d):
+        out = residues(_square_family(d))
+        assert [str(w.place) for w in out] == ["(x + 1)", f"(x^{d} + 3)", "inf"]
+        assert [w.ramified for w in out] == [False, False, False]
+
+    @pytest.mark.parametrize("family", [_stall_quotient, _square_family])
+    def test_residue_classes_match_the_tame_symbol(self, family):
+        D = family(16)
+        for res in residues(D):
+            want = _residue_reference(D, res.place)
+            if res.place.degree == 1:
+                want = want.constant_value()
+                assert type(res.residue_class) is Fraction
+            else:
+                assert type(res.residue_class) is PolyQ
+            assert res.residue_class == want, str(res.place)
 
 
 class TestGenusBound:
