@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
-from ramgenus.qpoly import PolyQ, factor_q, is_irreducible_q, is_square_mod, rational_roots
+from ramgenus.exactarith import is_rational_square
+from ramgenus.qpoly import (
+    PolyQ, _factor_squarefree, factor_q, is_irreducible_q, is_square_mod, rational_roots,
+)
 
 
 def random_polyq(rng, max_deg, nonzero=True):
@@ -283,3 +288,98 @@ class TestIsSquareMod:
             assert is_square_mod(PolyQ.constant(c), x4_1) is square, c
         with pytest.raises(ZeroValuationError):
             is_square_mod(x4_1, x4_1)
+
+
+def trager_reference(r: PolyQ, pi: PolyQ) -> bool:
+    """Trager's norm method alone, on Fraction polynomials: the norm
+    (-1)^d M(0) of the characteristic polynomial M of r, then the
+    factorization of M(y^2) once r is made to generate Q[x]/(pi)."""
+    d = pi.degree
+    b = pi.coeffs[::-1]
+
+    def char_poly(r):
+        tr_x = [Fraction(d)]
+        for j in range(1, d):
+            tr_x.append(-j * b[j] - sum(b[i] * tr_x[j - i] for i in range(1, j)))
+        traces, c = [tr_x[0]], [Fraction(1)]
+        power = PolyQ.constant(1)
+        for k in range(1, d + 1):
+            power = power * r % pi
+            traces.append(sum(a * t for a, t in zip(power.coeffs, tr_x)))
+            c.append(-sum(c[i] * traces[k - i] for i in range(k)) / k)
+        return PolyQ(tuple(reversed(c)))
+
+    M = char_poly(r)
+    if not is_rational_square((-1) ** d * M.constant_value()):
+        return False
+    s = 0
+    while M.gcd(M.derivative()).degree > 0:
+        s += 1
+        c = PolyQ.of((1, s))
+        M = char_poly(r * c * c % pi)
+    _, ints = PolyQ(tuple(v for a in M.coeffs for v in (a, 0))).integer_model()
+    return len(_factor_squarefree(list(ints))) > 1
+
+
+def norm_reference(u: PolyQ, pi: PolyQ) -> Fraction:
+    """N(u) as the determinant of multiplication by u, by sympy."""
+    d = pi.degree
+    columns = []
+    power = u % pi
+    x = PolyQ.x()
+    for _ in range(d):
+        columns.append(list(power.coeffs) + [0] * (d - len(power.coeffs)))
+        power = power * x % pi
+    det = sympy.Matrix(d, d, lambda i, j: sympy.Rational(str(columns[j][i]))).det()
+    return Fraction(int(det.p), int(det.q))
+
+
+small = st.integers(-4, 4)
+
+
+@st.composite
+def monic_irreducibles(draw):
+    degree = draw(st.integers(2, 6))
+    pi = PolyQ.of(draw(st.lists(small, min_size=degree, max_size=degree)) + [1])
+    assume(is_irreducible_q(pi))
+    return pi
+
+
+@st.composite
+def residues_mod(draw, pi):
+    coeffs = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                      min_size=1, max_size=pi.degree)
+    t = PolyQ.of(draw(coeffs))
+    assume(not (t % pi).is_zero())
+    return t
+
+
+class TestIsSquareModAgainstTrager:
+    """is_square_mod agrees with Trager's method alone on forced squares and
+    on nonsquares whose norm is a square, the case the norm cannot settle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_forced_squares(self, data):
+        pi = data.draw(monic_irreducibles())
+        t = data.draw(residues_mod(pi))
+        q = data.draw(st.sampled_from([1, 4, Fraction(9, 4)]))
+        r = t * t % pi
+        assert is_square_mod(r.scale(q), pi) is True
+        assert trager_reference(r.scale(q), pi) is True
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_square_norms(self, data):
+        pi = data.draw(monic_irreducibles())
+        t = data.draw(residues_mod(pi))
+        u = data.draw(residues_mod(pi))
+        if pi.degree % 2:
+            # N(u N(u)) = N(u)^(d + 1) is a square for odd d
+            u = u.scale(norm_reference(u, pi))
+        else:
+            # a rational constant has the square norm q^d for even d
+            u = PolyQ.constant(data.draw(st.sampled_from([-3, -2, -1, 2, 3, 5, 6, Fraction(1, 2)])))
+        r = t * t * u % pi
+        assert is_square_mod(r, pi) == trager_reference(r, pi), (str(r), str(pi))
+
