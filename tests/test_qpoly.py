@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
+from ramgenus.gfpoly import fq_inv
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, factor_q, is_irreducible_q, is_square_mod, rational_roots,
 )
@@ -382,4 +383,25 @@ class TestIsSquareModAgainstTrager:
             u = PolyQ.constant(data.draw(st.sampled_from([-3, -2, -1, 2, 3, 5, 6, Fraction(1, 2)])))
         r = t * t * u % pi
         assert is_square_mod(r, pi) == trager_reference(r, pi), (str(r), str(pi))
+
+class TestInverse:
+    def test_inverse_against_products(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            pi = random_polyq(rng, 5)
+            if pi.degree < 1 or not is_irreducible_q(pi):
+                continue
+            a = random_polyq(rng, 7)
+            if (a % pi).is_zero():
+                continue
+            inv = fq_inv(a, pi)
+            assert inv.degree < pi.degree
+            assert a * inv % pi == PolyQ.constant(1), (str(a), str(pi))
+            assert a.pow_mod(-2, pi) == inv * inv % pi
+
+    def test_inverse_of_zero(self):
+        pi = PolyQ.of([-2, 0, 1])
+        for a in (PolyQ.of([]), pi, pi * PolyQ.of([1, 3])):
+            with pytest.raises(ZeroDivisionError):
+                fq_inv(a, pi)
 
