@@ -1,7 +1,8 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
 Arithmetic is Fraction arithmetic on coefficients stored ascending with
-trailing zeros stripped; structure, ``pow_mod`` and printing come from
+trailing zeros stripped (ring operations build their results with the
+trusted ``PolyQ._make``); structure, ``pow_mod`` and printing come from
 ``gfpoly._Poly``, which PolyQ shares with PolyFp, and so does ``fq_inv``
 (an extended Euclid on Fractions). Gcds and factorization work in Z[x] on
 the primitive integer model: the gcd is a primitive remainder sequence
@@ -28,6 +29,8 @@ from .gfpoly import (
     poly_factor_fp,
 )
 
+_ZERO = Fraction(0)
+
 
 class PolyQ(_Poly):
     """A polynomial over Q: Fraction coefficients ascending, normalized."""
@@ -40,6 +43,14 @@ class PolyQ(_Poly):
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _make(cls, coeffs) -> "PolyQ":
+        """Trusted constructor for kernel results: the coefficients are
+        Fractions and trailing zeros are already stripped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        return poly
+
     def _like(self, coeffs) -> "PolyQ":
         return PolyQ(tuple(coeffs))
 
@@ -49,7 +60,7 @@ class PolyQ(_Poly):
     def gcd(self, other: "PolyQ") -> "PolyQ":
         """The monic gcd, from the primitive gcd of the integer models."""
         g = _gcd_z(self.integer_model()[1], other.integer_model()[1])
-        return PolyQ(tuple(Fraction(c, g[-1]) for c in g))
+        return PolyQ._make(Fraction(c, g[-1]) for c in g)
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
@@ -70,20 +81,21 @@ class PolyQ(_Poly):
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
         b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return PolyQ(tuple(x + y for x, y in zip(a, b)))
+        return PolyQ._make(_trim([x + y for x, y in zip(a, b)]))
 
     def __neg__(self) -> "PolyQ":
-        return PolyQ(tuple(-c for c in self.coeffs))
+        return PolyQ._make(-c for c in self.coeffs)
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + (-other)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        return PolyQ(tuple(_mul(self.coeffs, other.coeffs)))
+        # _mul leaves an int 0 where no product lands
+        return PolyQ._make(c or _ZERO for c in _mul(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "PolyQ":
         c = Fraction(c)
-        return PolyQ(tuple(a * c for a in self.coeffs))
+        return PolyQ._make(a * c for a in self.coeffs) if c else PolyQ._make(())
 
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if other.is_zero():
@@ -91,17 +103,17 @@ class PolyQ(_Poly):
         rem = list(self.coeffs)
         inv = 1 / other.leading()
         dq = other.degree
-        q = [Fraction(0)] * max(len(rem) - dq, 0)
+        q = [_ZERO] * max(len(rem) - dq, 0)
         for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i] * inv
             if c:
                 q[i - dq] = c
                 for j, b in enumerate(other.coeffs):
                     rem[i - dq + j] -= c * b
-        return PolyQ(tuple(q)), PolyQ(tuple(rem))
+        return PolyQ._make(q), PolyQ._make(_trim(rem[:dq]))
 
     def derivative(self) -> "PolyQ":
-        return PolyQ(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return PolyQ._make(i * c for i, c in enumerate(self.coeffs) if i)
 
     def evaluate(self, x0) -> Fraction:
         x0 = Fraction(x0)
@@ -112,7 +124,7 @@ class PolyQ(_Poly):
 
     def reverse(self) -> "PolyQ":
         """x^deg * f(1/x)."""
-        return PolyQ(tuple(reversed(self.coeffs)))
+        return PolyQ._make(_trim(list(reversed(self.coeffs))))
 
     def integer_model(self) -> tuple[Fraction, tuple[int, ...]]:
         """(content, primitive integer coefficients): f = content * primitive."""
@@ -354,7 +366,7 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
                 while q is not None:
                     rest, mult, q = q, mult + 1, _exact_quotient(q, g)
                 found.append((g, mult))
-    out = [(PolyQ(tuple(Fraction(c, g[-1]) for c in g)), mult) for g, mult in found]
+    out = [(PolyQ._make(Fraction(c, g[-1]) for c in g), mult) for g, mult in found]
     out.sort(key=lambda t: t[0].sort_key())
     return f.leading(), out
 
