@@ -18,6 +18,7 @@ through x -> 1/x at the degree place, as a reference.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -33,7 +34,16 @@ from .gfpoly import (
     poly_factor_fp,
     residue_class_is_nth_power,
 )
-from .qpoly import PolyQ, factor_q, is_irreducible_q, is_square_mod
+from .qpoly import (
+    PolyQ,
+    _exact_quotient,
+    _from_theta,
+    _is_square_z,
+    _monic_model,
+    _power_product,
+    factor_q,
+    is_irreducible_q,
+)
 
 
 class FFPlace(Value):
@@ -223,15 +233,6 @@ def _split_off(poly, pi) -> tuple[int, object]:
         poly, m = q, m + 1
 
 
-def _valuation_and_unit(f: RationalFunction, pi) -> tuple[int, object]:
-    """(v, u mod pi) for a nonzero f = pi^v * u with u a unit at pi."""
-    vn, n = _split_off(f.num, pi)
-    if f.den.is_constant():  # den is monic, so this is den = 1
-        return vn, n
-    vd, d = _split_off(f.den, pi)
-    return vn - vd, n * fq_inv(d, pi) % pi
-
-
 def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
     """All places with v(f) != 0, each with its valuation.
 
@@ -332,10 +333,11 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a), from the valuations v
     and unit parts u of the entries, equals ``tame_symbol(D, w).residue_at(w)``.
     At the degree place it is the constant (-1)^(v_a v_b) lc(a)^(v_b)
-    lc(b)^(-v_a); at a finite place over F_p it is formed on int lists. Over
+    lc(b)^(-v_a); at a finite place it is formed on int lists, over F_p
+    (``_residue_fp``) and over Q on integer models (``_residue_q``). Over
     Q(x) squareness is decided exactly: by ``is_rational_square`` where the
-    residue field is Q, by Trager's norm method (``qpoly.is_square_mod``)
-    above degree 1.
+    residue field is Q, above degree 1 by the norm, a local sieve modulo a
+    few primes and Trager's method, in that order (see ``_residue_q``).
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
@@ -353,20 +355,11 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         pi = w.pi
         residue = PolyFp._make(p, _residue_fp(D, list(pi.coeffs), p))
     else:
-        pi = w.pi
-        va, ua = _valuation_and_unit(D.a, pi)
-        vb, ub = _valuation_and_unit(D.b, pi)
-        residue = ua.pow_mod(vb, pi) * ub.pow_mod(-va, pi) % pi
-        if va * vb % 2:
-            residue = -residue
-        if pi.degree == 1:
-            residue = residue.constant_value()
+        return _residue_q(D, w)
     if p:
         ramified = not residue_class_is_nth_power(residue, pi, D.n)
-    elif pi.degree == 1:
-        ramified = not is_rational_square(residue)
     else:
-        ramified = not is_square_mod(residue, pi)
+        ramified = not is_rational_square(residue)
     return TameResidue(w, residue, ramified)
 
 
@@ -388,6 +381,41 @@ def _residue_fp(D: SymbolAlgebraFF, pi: list[int], p: int) -> list[int]:
         elif e < 0:
             bottom = _mul(bottom, _pow_mod(u, -e, pi, p))
     return _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1]
+
+
+def _residue_q(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
+    """The tame residue at a finite place pi over Q, on integer models.
+
+    Each polynomial of the entries is c F with F primitive in Z[x]; its
+    valuation is the number of exact divisions of F by the primitive model
+    of pi (Gauss's lemma), and what is left is its unit part. The unit parts
+    with a nonzero exponent form the residue s W(theta) on the monic model of
+    the residue field (``qpoly._power_product``, one inverse at the end).
+    The verdict is a proof: at a degree-1 place the residue is a rational,
+    tested by ``is_rational_square``; above it the square class of s W is
+    that of the integer element s.numerator s.denominator W, decided by the
+    norm, the local sieve and Trager's method (``qpoly._is_square_z``).
+    """
+    P, f = _monic_model(w.pi)
+    vals, units = [], []
+    for poly in (D.a.num, D.a.den, D.b.num, D.b.den):
+        c, F = poly.integer_model()
+        v, q = 0, _exact_quotient(F, P)
+        while q is not None:
+            v, F, q = v + 1, q, _exact_quotient(q, P)
+        vals.append(v)
+        units.append((c, F))
+    va, vb = vals[0] - vals[1], vals[2] - vals[3]
+    parts = [(c, F, e) for (c, F), e in zip(units, (vb, -vb, -va, va)) if e]
+    if va * vb % 2:
+        parts.append((Fraction(-1), [1], 1))
+    W, s = _power_product(f, P[-1], parts)
+    residue = _from_theta(W, s, P[-1])
+    if len(f) == 2:
+        residue = residue.constant_value()
+        return TameResidue(w, residue, not is_rational_square(residue))
+    scaled = [s.numerator * s.denominator * c for c in W]
+    return TameResidue(w, residue, not _is_square_z(scaled, f))
 
 
 def residues(D: SymbolAlgebraFF) -> list[TameResidue]:

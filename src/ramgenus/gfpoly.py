@@ -13,7 +13,8 @@ their results with the trusted ``PolyFp._make``.
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, ``monic``,
 ``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi); each has
-its own gcd, and PolyFp overrides what the int-list kernel runs faster.
+its own gcd and inverse, and PolyFp overrides what the int-list kernel runs
+faster.
 
 ``poly_factor_fp`` runs all three stages on int lists and builds a PolyFp
 only for each irreducible it returns. Per squarefree part it builds one
@@ -166,7 +167,8 @@ class _Poly(Value):
     """What a dense polynomial over a field k does independently of k:
     ``coeffs`` ascending with trailing zeros stripped, structure, ``monic``,
     ``pow_mod`` and printing. A subclass supplies ``gcd``, ``_like(coeffs)``
-    (a polynomial over the same field) and ``_inv(c)`` (a scalar inverse)."""
+    (a polynomial over the same field), ``_inv(c)`` (a scalar inverse) and
+    ``_inverse(modulus)`` (the inverse in k[x]/(modulus))."""
 
     __slots__ = ()
 
@@ -204,7 +206,7 @@ class _Poly(Value):
         """self^e in k[x]/(modulus), left to right; for e < 0 the inverse of
         self^(-e)."""
         if e < 0:
-            return fq_inv(self.pow_mod(-e, modulus), modulus)
+            return self.pow_mod(-e, modulus)._inverse(modulus)
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if e == 0:
@@ -327,6 +329,11 @@ class PolyFp(_Poly):
         self._check(other)
         return PolyFp._make(self.p, _gcd(self.coeffs, other.coeffs, self.p))
 
+    def _inverse(self, modulus: "PolyFp") -> "PolyFp":
+        self._check(modulus)
+        p = self.p
+        return PolyFp._make(p, _inv_mod(self.coeffs, _monic(modulus.coeffs, p), p))
+
     def derivative(self) -> "PolyFp":
         p = self.p
         return PolyFp._make(p, _trim([i * c % p for i, c in enumerate(self.coeffs) if i]))
@@ -343,7 +350,7 @@ class PolyFp(_Poly):
 
     def pow_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
         if e < 0:
-            return fq_inv(self.pow_mod(-e, modulus), modulus)
+            return self.pow_mod(-e, modulus)._inverse(modulus)
         self._check(modulus)
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -357,22 +364,9 @@ class PolyFp(_Poly):
 
 
 def fq_inv(a: _Poly, pi: _Poly) -> _Poly:
-    """Inverse of a modulo pi via the extended Euclidean algorithm, for
-    polynomials over F_p (on int lists) or Q."""
-    if isinstance(a, PolyFp):
-        a._check(pi)
-        return PolyFp._make(a.p, _inv_mod(a.coeffs, _monic(pi.coeffs, a.p), a.p))
-    a = a % pi
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of 0 in residue field")
-    r0, r1 = pi, a
-    s0, s1 = a._like(()), a._like((1,))
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    # r0 is a nonzero constant gcd
-    return s0.scale(a._inv(r0.constant_value())) % pi
+    """Inverse of a modulo pi: over F_p by the extended Euclidean algorithm
+    on int lists, over Q on the monic integer model (``qpoly._inv_z``)."""
+    return a._inverse(pi)
 
 
 def is_square_fq(r: PolyFp, pi: PolyFp) -> bool:

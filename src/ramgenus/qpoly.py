@@ -1,18 +1,25 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
-Arithmetic is Fraction arithmetic on coefficients stored ascending with
-trailing zeros stripped (ring operations build their results with the
-trusted ``PolyQ._make``); structure, ``pow_mod`` and printing come from
-``gfpoly._Poly``, which PolyQ shares with PolyFp, and so does ``fq_inv``
-(an extended Euclid on Fractions). Gcds and factorization work in Z[x] on
-the primitive integer model: the gcd is a primitive remainder sequence
-(``_gcd_z``), and factorization follows Zassenhaus (1969; von zur
-Gathen-Gerhard, Modern Computer Algebra, ch. 15): the squarefree part
-f / gcd(f, f') when needed, factorization modulo a small prime with
-``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a Mignotte bound,
-and recombination of lifted factors checked by exact division. The same
-factorizer decides squareness in a number field Q[x]/(pi) through Trager's
-norm method. It is self-contained: no computer-algebra system is imported.
+``PolyQ`` stores Fraction coefficients ascending with trailing zeros
+stripped; its ring operations build their results with the trusted
+``PolyQ._make``, and structure, ``pow_mod`` and printing come from
+``gfpoly._Poly``, which PolyQ shares with PolyFp. Everything heavier works
+in Z[x] on int lists. The gcd is a primitive remainder sequence
+(``_gcd_z``), the resultant the subresultant algorithm (``_resultant_z``),
+and factorization follows Zassenhaus (1969; von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 15): the squarefree part f / gcd(f, f') when needed,
+factorization modulo a small prime with ``gfpoly.poly_factor_fp``,
+quadratic Hensel lifting past a Mignotte bound, and recombination of lifted
+factors checked by exact division.
+
+A residue field K = Q[x]/(pi) is worked in on its monic integer model
+Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
+exact remainders by the monic f, and an inverse (``fq_inv``, through
+``PolyQ._inverse``) is res / b with res = Res(f, b), lifted p-adically
+past a Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
+a local sieve modulo a few primes and Trager's norm method, in that order
+(``is_square_mod``). It is self-contained: no computer-algebra system is
+imported.
 """
 
 from __future__ import annotations
@@ -21,12 +28,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, lcm
 from math import gcd as int_gcd
+from operator import mul
 
 from .errors import ZeroValuationError
 from .exactarith import is_rational_square, primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _divmod_monic, _inv_mod, _mul, _mul_mod, _Poly, _trim,
-    poly_factor_fp,
+    PolyFp, _add_mod, _check_char, _divmod_monic, _inv_mod, _mul, _mul_mod, _norm, _Poly,
+    _trim, poly_factor_fp,
 )
 
 _ZERO = Fraction(0)
@@ -79,8 +87,8 @@ class PolyQ(_Poly):
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
         n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
+        a = self.coeffs + (_ZERO,) * (n - len(self.coeffs))
+        b = other.coeffs + (_ZERO,) * (n - len(other.coeffs))
         return PolyQ._make(_trim([x + y for x, y in zip(a, b)]))
 
     def __neg__(self) -> "PolyQ":
@@ -126,6 +134,9 @@ class PolyQ(_Poly):
         """x^deg * f(1/x)."""
         return PolyQ._make(_trim(list(reversed(self.coeffs))))
 
+    def _inverse(self, modulus: "PolyQ") -> "PolyQ":
+        return _inverse_q(self, modulus)
+
     def integer_model(self) -> tuple[Fraction, tuple[int, ...]]:
         """(content, primitive integer coefficients): f = content * primitive."""
         if self.is_zero():
@@ -158,23 +169,117 @@ def _primitive(a) -> list[int]:
     return [c // g for c in a] if a and a[-1] > 0 else [-c // g for c in a]
 
 
+def _prem(a, b) -> list[int]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in Z[x], for
+    deg a >= deg b >= 1."""
+    db, lb = len(b) - 1, b[-1]
+    rem = list(a)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        rem = [v * lb for v in rem]
+        for j in range(db):
+            rem[i - db + j] -= c * b[j]
+    return _trim(rem)
+
+
 def _gcd_z(a, b) -> list[int]:
     """The primitive part of gcd(a, b) in Z[x] (empty when both are), by the
     primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each remainder
-    is the pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b over its
-    content, so no coefficient is a fraction or outgrows the subresultants."""
+    is the pseudo-remainder over its content, so no coefficient is a
+    fraction or outgrows the subresultants."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        db, lb = len(b) - 1, b[-1]
-        rem = list(a)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem.pop()
-            rem = [v * lb for v in rem]
-            for j in range(db):
-                rem[i - db + j] -= c * b[j]
-        a, b = b, _primitive(_trim(rem))
+        a, b = b, _primitive(_prem(a, b))
     return [1] if b else _primitive(a)
+
+
+def _resultant_z(a, b) -> int:
+    """Res(a, b) of integer polynomials (0 if either is zero), by the
+    subresultant algorithm (Collins 1967; Cohen, Alg. 3.3.7): each
+    pseudo-remainder is divided exactly by g h^delta, so the coefficients
+    stay integers no larger than the subresultants."""
+    if not a or not b:
+        return 0
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _prem(a, b)
+        if not r:
+            return 0
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return s * t * (b[0] ** da // h ** (da - 1))
+
+
+def _rem_z(a, f) -> list[int]:
+    """a mod f in Z[x] for a monic f."""
+    d = len(f) - 1
+    rem = list(a)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(d):
+                rem[i - d + j] -= c * f[j]
+    return _trim(rem[:d])
+
+
+def _pow_z(a, e: int, f) -> list[int]:
+    """a^e mod f in Z[x] for e >= 1, a monic f and a reduced a."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _rem_z(_mul(out, out), f)
+        if bit == "1":
+            out = _rem_z(_mul(out, a), f)
+    return out
+
+
+_LIFT_PRIME = (1 << 31) - 1  # the first prime the inverse is lifted from
+
+
+def _inv_z(b, f) -> tuple[list[int], int]:
+    """(v, res) with v b = res mod f, res = Res(f, b), for a monic f and a
+    reduced b prime to f; b^(-1) = v / res in Q[x]/(f).
+
+    v = res b^(-1) mod f is integral: its coefficients are minors of the
+    Sylvester matrix of f and b, at most ||f||^(deg b) ||b||^(deg f) by
+    Hadamard. It is computed modulo p^(2^k) past twice that bound, from the
+    inverse modulo a prime p not dividing res by Newton's iteration
+    v <- v (2 - b v) (von zur Gathen-Gerhard, ch. 9), and read off as
+    symmetric residues.
+    """
+    res = _resultant_z(f, b)
+    if not res:
+        raise ZeroDivisionError("inverse of 0 in residue field")
+    if len(f) == 2:
+        return [1], res
+    bound = (isqrt(sum(c * c for c in f)) + 1) ** (len(b) - 1) * (
+        isqrt(sum(c * c for c in b)) + 1
+    ) ** (len(f) - 1)
+    p = next(q for q in primes_after(_LIFT_PRIME - 1) if res % q)
+    v, m = _inv_mod(b, f, p), p
+    while m <= 2 * bound:
+        m *= m
+        e = _add_mod([2], _divmod_monic(_mul(b, v), f, m)[1], m, -1)
+        v = _divmod_monic(_mul(v, e), f, m)[1]
+    return _trim([c - m if 2 * c > m else c for c in (res * c % m for c in v)]), res
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
@@ -390,42 +495,152 @@ def rational_roots(f: PolyQ) -> list[Fraction]:
     return sorted(-g.coeffs[0] for g, _ in parts if g.degree == 1)
 
 
-def _char_poly(r: PolyQ, pi: PolyQ) -> PolyQ:
-    """The characteristic polynomial of multiplication by r on Q[x]/(pi), pi
-    monic, from the traces of r^k by Newton's identities."""
-    d = pi.degree
-    b = pi.coeffs[::-1]  # pi = x^d + b[1] x^(d-1) + ... + b[d]
-    tr_x = [Fraction(d)]  # Tr(x^j), the power sums of the roots of pi
+# -- the residue field Q[x]/(pi) on its monic integer model --------------------
+#
+# For a monic pi of degree d with primitive integer model P, L = lc(P), the
+# element theta = L x of K = Q[x]/(pi) has the monic minimal polynomial
+# f(theta) = L^(d-1) P(theta / L) in Z[theta], and an integer polynomial F
+# of degree m is F~(theta) / L^m with F~(theta) = L^m F(theta / L) integral.
+# Residues, inverses and square tests run on such int lists modulo f, with
+# one Fraction scalar kept apart.
+
+
+def _monic_model(pi: PolyQ) -> tuple[list[int], list[int]]:
+    """(P, f): the primitive integer model P of a nonconstant pi, and the
+    monic model f of the residue field, theta = lc(P) x."""
+    P = list(pi.integer_model()[1])
+    L, d = P[-1], len(P) - 1
+    return P, [c * L ** (d - 1 - j) for j, c in enumerate(P[:-1])] + [1]
+
+
+def _to_theta(F, L: int) -> list[int]:
+    """F~ with F(x) = F~(theta) / L^(deg F)."""
+    m = len(F) - 1
+    return [c * L ** (m - j) for j, c in enumerate(F)] if L != 1 else list(F)
+
+
+def _from_theta(W: list[int], scale: Fraction, L: int) -> PolyQ:
+    """scale * W(theta) as a polynomial in x, theta = L x."""
+    return PolyQ._make(scale * (c * L**j) for j, c in enumerate(W))
+
+
+def _power_product(f: list[int], L: int, parts) -> tuple[list[int], Fraction]:
+    """(W, s) with s W(theta) = prod (c F)^e in Q[x]/(pi), for the monic model
+    f of pi, theta = L x, and parts (c, F, e): a nonzero rational c, an
+    integer polynomial F prime to pi and an exponent e != 0. The positive and
+    the negative powers are multiplied apart on int lists, and the product of
+    the negative ones is inverted once (``_inv_z``)."""
+    top, bottom, s = [1], [1], Fraction(1)
+    for c, F, e in parts:
+        s *= (c / L ** (len(F) - 1)) ** e
+        u = _pow_z(_rem_z(_to_theta(F, L), f), abs(e), f)
+        if e > 0:
+            top = _rem_z(_mul(top, u), f)
+        else:
+            bottom = _rem_z(_mul(bottom, u), f)
+    if bottom != [1]:
+        v, res = _inv_z(bottom, f)
+        top, s = _rem_z(_mul(top, v), f), s / res
+    return top, s
+
+
+def _inverse_q(a: PolyQ, pi: PolyQ) -> PolyQ:
+    """a^(-1) in Q[x]/(pi) for a prime to pi, on the monic integer model."""
+    if a.is_zero() or pi.degree < 1:
+        raise ZeroDivisionError("inverse of 0 in residue field")
+    P, f = _monic_model(pi)
+    c, A = a.integer_model()
+    return _from_theta(*_power_product(f, P[-1], [(c, A, -1)]), P[-1])
+
+
+# The odd primes the local sieve tries before Trager's method. It changes the
+# time a square test takes, never its verdict.
+_SIEVE_PRIMES = 8
+
+
+def _char_poly(r: list[int], f: list[int]) -> list[int]:
+    """The characteristic polynomial M of multiplication by r on
+    Q[theta]/(f), for a monic f and r in Z[theta]: monic in Z[y], as r is
+    integral. The traces Tr(theta^j) are the power sums of the roots of f
+    and Tr(r^k) follow from them; Newton's identities k c_k =
+    -sum_{i<k} c_i Tr(r^(k-i)) then divide exactly."""
+    d = len(f) - 1
+    b = f[::-1]  # f = y^d + b[1] y^(d-1) + ... + b[d]
+    tr_x = [d]
     for j in range(1, d):
         tr_x.append(-j * b[j] - sum(b[i] * tr_x[j - i] for i in range(1, j)))
-    traces, c = [tr_x[0]], [Fraction(1)]  # M = y^d + c[1] y^(d-1) + ... + c[d]
-    power = r._like((1,))
+    traces, c = [d], [1]  # M = y^d + c[1] y^(d-1) + ... + c[d]
+    power = [1]
     for k in range(1, d + 1):
-        power = power * r % pi
-        traces.append(sum(a * t for a, t in zip(power.coeffs, tr_x)))
-        c.append(-sum(c[i] * traces[k - i] for i in range(k)) / k)
-    return PolyQ(tuple(reversed(c)))
+        power = _rem_z(_mul(power, r), f)
+        traces.append(sum(map(mul, power, tr_x)))
+        c.append(-sum(c[i] * traces[k - i] for i in range(k)) // k)
+    return c[::-1]
+
+
+def _local_nonsquare(r: list[int], f: list[int]) -> bool:
+    """Does some prime p among the first ``_SIEVE_PRIMES`` odd ones prove r
+    a nonsquare in K = Q[theta]/(f)?
+
+    When f is squarefree mod p, Z_p[theta]/(f) is a product of unramified
+    rings whose residue fields are F_p[theta]/(pi_i), pi_i the factors of f
+    mod p. A square root of r in K lies in each of those rings where r is a
+    unit, so r is a square modulo every pi_i it does not vanish on; a pi_i
+    where the norm of r mod pi_i is a nonsquare mod p proves r a nonsquare.
+    A prime where f stays irreducible adds nothing to the rational norm.
+    """
+    primes = primes_after(2)
+    for _ in range(_SIEVE_PRIMES):
+        p = next(primes)
+        parts = poly_factor_fp(PolyFp(p, tuple(f)))
+        if len(parts) == 1 or any(mult > 1 for _, mult in parts):
+            continue
+        rp = [c % p for c in r]
+        for u, _ in parts:
+            n = _norm(u.coeffs, rp, p)
+            if n and pow(n, (p - 1) // 2, p) != 1:
+                return True
+    return False
+
+
+def _is_square_z(r: list[int], f: list[int]) -> bool:
+    """``is_square_mod`` on the monic model: is the nonzero r in Z[theta],
+    of degree below deg f, a square in Q[theta]/(f), f monic irreducible?"""
+    norm = _resultant_z(f, r)
+    if norm < 0 or isqrt(norm) ** 2 != norm or _local_nonsquare(r, f):
+        return False
+    M, s = _char_poly(r, f), 0
+    while len(_gcd_z(M, [i * c for i, c in enumerate(M) if i])) > 1:
+        s += 1
+        M = _char_poly(_rem_z(_mul(r, _mul([1, s], [1, s])), f), f)
+    return len(_factor_squarefree([v for c in M for v in (c, 0)][:-1])) > 1
 
 
 def is_square_mod(r: PolyQ, pi: PolyQ) -> bool:
     """Is r a square in K = Q[x]/(pi)?  Exact, for pi monic irreducible.
 
-    With M the characteristic polynomial of r on K, d = deg pi, a square has
-    a square norm (-1)^d M(0); this settles most nonsquares. Otherwise r is
-    multiplied by squares (1 + s x)^2 until M is squarefree (at most d(d-1)
-    values of s fail), so that r generates K with minimal polynomial M. Then
-    r is a square exactly when the norm M(y^2) of y^2 - r, squarefree since
-    M is and M(0) != 0, is reducible over Q (Trager, SYMSAC 1976).
+    On the monic model f of K (theta = L x), r = c R(x) is c R~(theta) / L^m,
+    m = deg R, in the square class of the integral element
+    c.numerator c.denominator L^(m mod 2) R~(theta). Three checks follow, in
+    this order (``_is_square_z``), and each verdict is a proof:
+
+    - the norm: N(s^2) = N(s)^2, so an integer norm N(r) = Res(f, r) that is
+      not a square proves a nonsquare; most nonsquares stop here;
+    - the local sieve (``_local_nonsquare``): a square is a square in every
+      residue field of K at a prime where it is a unit, so a nonsquare
+      modulo a factor of f mod p proves a nonsquare;
+    - Trager's method (SYMSAC 1976) for what survives: r is multiplied by
+      squares (1 + s theta)^2 until its characteristic polynomial M is
+      squarefree (at most d(d-1) values of s fail), so that r generates K
+      with minimal polynomial M. Then M(y^2), the norm of y^2 - r and
+      squarefree since M is and M(0) != 0, factors as N(y - t) N(y + t)
+      when r = t^2, and is the minimal polynomial of sqrt(r), of degree
+      2d, otherwise; r is a square exactly when M(y^2) is reducible over Q.
     """
-    if (r % pi).is_zero():
+    P, f = _monic_model(pi)
+    c, R = r.integer_model()
+    rt = _rem_z(_to_theta(R, P[-1]), f)
+    if not rt:
         raise ZeroValuationError("square test of 0 in the residue field")
-    M = _char_poly(r, pi)
-    if not is_rational_square((-1) ** pi.degree * M.constant_value()):
-        return False
-    s = 0
-    while M.gcd(M.derivative()).degree > 0:
-        s += 1
-        c = PolyQ.of((1, s))
-        M = _char_poly(r * c * c % pi, pi)
-    _, ints = PolyQ(tuple(v for a in M.coeffs for v in (a, 0))).integer_model()
-    return len(_factor_squarefree(list(ints))) > 1
+    scale = c.numerator * c.denominator * P[-1] ** ((len(R) - 1) % 2)
+    return _is_square_z([scale * v for v in rt], f)
