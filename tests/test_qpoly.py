@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.subresultants_qq_zz import sylvester
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
-from ramgenus.gfpoly import fq_inv
+from ramgenus.gfpoly import _mul, fq_inv
 from ramgenus.qpoly import (
-    PolyQ, _factor_squarefree, factor_q, is_irreducible_q, is_square_mod, rational_roots,
+    PolyQ, _factor_squarefree, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
+    rational_roots,
 )
 
 
@@ -384,6 +386,7 @@ class TestIsSquareModAgainstTrager:
         r = t * t * u % pi
         assert is_square_mod(r, pi) == trager_reference(r, pi), (str(r), str(pi))
 
+
 class TestInverse:
     def test_inverse_against_products(self):
         rng = random.Random(77)
@@ -405,3 +408,43 @@ class TestInverse:
             with pytest.raises(ZeroDivisionError):
                 fq_inv(a, pi)
 
+
+def sympy_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) as the determinant of sympy's Sylvester matrix, for a or b
+    nonzero. sympy.resultant agrees with it up to sign only: in sympy 1.14,
+    Res(x^3 - 11x^2 - 10x + 6, b) for a b of degree 5 is prod b(alpha) =
+    48084642 and sympy.resultant gives -48084642."""
+    x = sympy.Symbol("x")
+    A, B = (sum(c * x**i for i, c in enumerate(f)) for f in (a, b))
+    det = int(sylvester(A, B, x).det())
+    assert abs(int(sympy.resultant(A, B, x))) == abs(det)
+    return det
+
+
+class TestResultant:
+    """_resultant_z, the subresultant algorithm on int lists, against sympy."""
+
+    def test_edge_operands(self):
+        cases = [
+            ([], [1, 2]), ([3, 1], []),  # zero
+            ([5], [7]), ([-2], [1, 0, 1]), ([1, 0, 3], [4]),  # constants
+            ([1, 2, 3], [4, 5, 6]), ([-1, 0, 0, 2], [3, 1, 0, -5]),  # equal degrees
+            ([1, 0, 0, 0, 1], [0, 1, 0, 1]),  # degree drops by two in the sequence
+            ([-1, 0, 1], [1, 1]), ([2, 3, 1], [6, 5, 1]),  # common factors
+            ([1, 0, 0, 0, 0, 0, 1], [3, 0, 0, 0, 2]),
+        ]
+        for a, b in cases:
+            assert _resultant_z(a, b) == sympy_resultant(a, b), (a, b)
+
+    def test_random_against_sympy(self):
+        rng = random.Random(4096)
+        for _ in range(80):
+            def poly(deg):
+                cs = [rng.randint(-20, 20) for _ in range(deg)]
+                return cs + [rng.choice([-3, -2, -1, 1, 2, 5])]
+            da = rng.randint(0, 7)
+            a, b = poly(da), poly(rng.choice([da, rng.randint(0, 7)]))
+            if rng.random() < 0.2:
+                common = poly(rng.randint(1, 2))
+                a, b = _mul(a, common), _mul(b, common)
+            assert _resultant_z(a, b) == sympy_resultant(a, b), (a, b)
