@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
+from ramgenus import qpoly
 from ramgenus.gfpoly import _mul, fq_inv
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
@@ -448,3 +449,42 @@ class TestResultant:
                 common = poly(rng.randint(1, 2))
                 a, b = _mul(a, common), _mul(b, common)
             assert _resultant_z(a, b) == sympy_resultant(a, b), (a, b)
+
+
+def _sieve_cases():
+    x4_1 = PolyQ.of([1, 0, 0, 0, 1])  # reducible modulo every prime
+    x4_81 = PolyQ.of([Fraction(1, 81), 0, 0, 0, 1])  # 3 in every denominator; Q(zeta_8) again
+    return [(x4_1, 3, False), (x4_1, 2, True), (x4_81, 3, False), (x4_81, -2, True)]
+
+
+class TestLocalSieve:
+    """The sieve proves nonsquares whose norm is a square; a nonsquare it
+    proves never reaches Trager's characteristic polynomial."""
+
+    @pytest.mark.parametrize("pi, c, square", _sieve_cases())
+    def test_constants_in_q_zeta8(self, pi, c, square, monkeypatch):
+        calls = []
+        real = qpoly._char_poly
+        monkeypatch.setattr(qpoly, "_char_poly", lambda r, f: calls.append(r) or real(r, f))
+        _, f = qpoly._monic_model(pi)
+        r = [c]
+        assert is_rational_square(qpoly._resultant_z(f, r))  # the norm cannot decide
+        assert qpoly._local_nonsquare(r, f) is not square
+        assert is_square_mod(PolyQ.constant(c), pi) is square
+        assert trager_reference(PolyQ.constant(c), pi) is square
+        assert bool(calls) is square
+
+    def test_a_nonsquare_norm_stops_before_the_sieve(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(qpoly, "_local_nonsquare", lambda r, f: seen.append(r))
+        monkeypatch.setattr(qpoly, "_char_poly", lambda r, f: seen.append(r))
+        assert not is_square_mod(PolyQ.x(), PolyQ.of([-2, 0, 1]))  # norm -2
+        assert not is_square_mod(PolyQ.constant(3), PolyQ.of([1, 0, 1, 0, 0, 1]))  # 3^5
+        assert seen == []
+
+    def test_primes_dividing_the_discriminant_are_skipped(self):
+        # f = theta^4 + 3^12 is theta^4 mod 3 and stays unused there; the
+        # verdict for 3 comes from p = 17, where x^4 + 1 splits into lines
+        _, f = qpoly._monic_model(PolyQ.of([Fraction(1, 81), 0, 0, 0, 1]))
+        assert f == [3**12, 0, 0, 0, 1]
+        assert qpoly._SIEVE_PRIMES >= 6 and qpoly._local_nonsquare([3], f)
