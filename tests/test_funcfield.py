@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ramgenus import funcfield, gfpoly, qpoly
 from ramgenus.cli import parse_algebra
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.exactarith import is_rational_square
@@ -476,6 +477,57 @@ class TestResidueStalls:
             else:
                 assert type(res.residue_class) is PolyQ
             assert res.residue_class == want, str(res.place)
+
+
+class TestResidueCallCounts:
+    """The order of the checks over Q(x), pinned by call counts: a nonsquare
+    proven by the norm or the local sieve never builds Trager's
+    characteristic polynomial, and the residue pass inverts on the integer
+    model, never through fq_inv on a PolyQ."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"char_poly": 0, "sieve": 0, "fq_inv": []}
+        char_poly, sieve, inverse = qpoly._char_poly, qpoly._local_nonsquare, funcfield.fq_inv
+
+        def count_char_poly(r, f):
+            calls["char_poly"] += 1
+            return char_poly(r, f)
+
+        def count_sieve(r, f):
+            calls["sieve"] += 1
+            return sieve(r, f)
+
+        def count_fq_inv(a, pi):
+            calls["fq_inv"].append(type(a).__name__)
+            return inverse(a, pi)
+
+        monkeypatch.setattr(qpoly, "_char_poly", count_char_poly)
+        monkeypatch.setattr(qpoly, "_local_nonsquare", count_sieve)
+        monkeypatch.setattr(funcfield, "fq_inv", count_fq_inv)
+        monkeypatch.setattr(gfpoly, "fq_inv", count_fq_inv)
+        return calls
+
+    def test_nonsquares_never_reach_trager(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        D = _stall_quotient(16)
+        out = residues(D)
+        assert [w.ramified for w in out] == [True, True, True, False]
+        # x^(-1) at x^16 + ... + 4 has the square norm 1/4, so the sieve decides
+        assert calls == {"char_poly": 0, "sieve": 1, "fq_inv": []}
+        tame_symbol(D, out[1].place).residue_at(out[1].place)
+        assert calls["fq_inv"] == ["PolyQ"]  # the counter sees a PolyQ inverse
+
+    def test_a_square_passes_norm_and_sieve_then_trager(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        assert [w.ramified for w in residues(_square_family(8))] == [False, False, False]
+        assert calls["sieve"] == 1 and calls["char_poly"] >= 1 and calls["fq_inv"] == []
+
+    def test_the_norm_decides_most_places(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        D = SymbolAlgebraFF(2, rf_q([3]), rf_q([1, 1, 0, 1]))  # N(3) = 27 at x^3 + x + 1
+        assert [str(w) for w in ram_V(D)] == ["(x^3 + x + 1)", "inf"]
+        assert calls == {"char_poly": 0, "sieve": 0, "fq_inv": []}
 
 
 class TestGenusBound:
