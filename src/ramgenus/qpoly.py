@@ -33,8 +33,8 @@ from operator import mul
 from .errors import ZeroValuationError
 from .exactarith import is_rational_square, primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _divmod_monic, _inv_mod, _mul, _mul_mod, _norm, _Poly,
-    _trim, poly_factor_fp,
+    PolyFp, _add_mod, _check_char, _distinct_degree, _divmod_monic, _frobenius, _gcd,
+    _inv_mod, _mul, _mul_mod, _Poly, _pow_mod, _trim, poly_factor_fp,
 )
 
 _ZERO = Fraction(0)
@@ -273,7 +273,7 @@ def _inv_z(b, f) -> tuple[list[int], int]:
     bound = (isqrt(sum(c * c for c in f)) + 1) ** (len(b) - 1) * (
         isqrt(sum(c * c for c in b)) + 1
     ) ** (len(f) - 1)
-    p = next(q for q in primes_after(_LIFT_PRIME - 1) if res % q)
+    p = _LIFT_PRIME if res % _LIFT_PRIME else next(q for q in primes_after(_LIFT_PRIME) if res % q)
     v, m = _inv_mod(b, f, p), p
     while m <= 2 * bound:
         m *= m
@@ -553,9 +553,9 @@ def _inverse_q(a: PolyQ, pi: PolyQ) -> PolyQ:
     return _from_theta(*_power_product(f, P[-1], [(c, A, -1)]), P[-1])
 
 
-# The odd primes the local sieve tries before Trager's method. It changes the
+# The odd primes the local sieve tries before Trager's method. They change the
 # time a square test takes, never its verdict.
-_SIEVE_PRIMES = 8
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
 
 def _char_poly(r: list[int], f: list[int]) -> list[int]:
@@ -579,26 +579,38 @@ def _char_poly(r: list[int], f: list[int]) -> list[int]:
 
 
 def _local_nonsquare(r: list[int], f: list[int]) -> bool:
-    """Does some prime p among the first ``_SIEVE_PRIMES`` odd ones prove r
-    a nonsquare in K = Q[theta]/(f)?
+    """Does some prime p of ``_SIEVE_PRIMES`` prove r a nonsquare in
+    K = Q[theta]/(f), deg f >= 2?
 
     When f is squarefree mod p, Z_p[theta]/(f) is a product of unramified
     rings whose residue fields are F_p[theta]/(pi_i), pi_i the factors of f
     mod p. A square root of r in K lies in each of those rings where r is a
     unit, so r is a square modulo every pi_i it does not vanish on; a pi_i
-    where the norm of r mod pi_i is a nonsquare mod p proves r a nonsquare.
-    A prime where f stays irreducible adds nothing to the rational norm.
+    where the norm of r to F_p is a nonsquare proves r a nonsquare. The
+    factors need not be split apart: modulo the product g of the factors of
+    degree k (distinct-degree factorization), n = r^(1 + p + ... + p^(k-1))
+    is that norm modulo each factor, so n^((p-1)/2) is 1 modulo g, once the
+    factors where r vanishes are divided out, exactly when r is a square at
+    every factor of g. A prime where f stays irreducible adds nothing to the
+    rational norm.
     """
-    primes = primes_after(2)
-    for _ in range(_SIEVE_PRIMES):
-        p = next(primes)
-        parts = poly_factor_fp(PolyFp(p, tuple(f)))
-        if len(parts) == 1 or any(mult > 1 for _, mult in parts):
-            continue
-        rp = [c % p for c in r]
-        for u, _ in parts:
-            n = _norm(u.coeffs, rp, p)
-            if n and pow(n, (p - 1) // 2, p) != 1:
+    for p in _SIEVE_PRIMES:
+        fp = [c % p for c in f]
+        if len(_gcd(fp, _trim([i * c % p for i, c in enumerate(fp) if i]), p)) > 1:
+            continue  # f is not squarefree mod p
+        frob = _frobenius(fp, p)
+        rp = _trim([c % p for c in r])
+        for g, k in _distinct_degree(fp, frob, p):
+            if k == len(fp) - 1:
+                break  # f is irreducible mod p
+            g = _divmod_monic(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
+            if len(g) == 1:
+                continue
+            t = n = _divmod_monic(rp, g, p)[1]
+            for _ in range(k - 1):
+                t = _divmod_monic(frob(t), g, p)[1]
+                n = _divmod_monic(_mul(n, t), g, p)[1]
+            if _pow_mod(n, (p - 1) // 2, g, p) != [1]:
                 return True
     return False
 
@@ -607,8 +619,10 @@ def _is_square_z(r: list[int], f: list[int]) -> bool:
     """``is_square_mod`` on the monic model: is the nonzero r in Z[theta],
     of degree below deg f, a square in Q[theta]/(f), f monic irreducible?"""
     norm = _resultant_z(f, r)
-    if norm < 0 or isqrt(norm) ** 2 != norm or _local_nonsquare(r, f):
+    if norm < 0 or isqrt(norm) ** 2 != norm:
         return False
+    if len(f) == 2 or _local_nonsquare(r, f):
+        return len(f) == 2  # over Q the norm is r itself
     M, s = _char_poly(r, f), 0
     while len(_gcd_z(M, [i * c for i, c in enumerate(M) if i])) > 1:
         s += 1
