@@ -8,8 +8,10 @@ class of the tame symbol
 
 in the residue field modulo n-th powers: the symbol is unramified at w
 exactly when that class is trivial. At a finite place pi the class is formed
-in k[x]/(pi) from the valuations and unit parts of the entries, over F_p on
-int lists. At the degree place v(f) = deg den - deg num and, den being
+in k[x]/(pi) from the valuations and unit parts of the entries, on int
+lists: over F_p directly, over Q on the monic integer model of the residue
+field (``qpoly``), where squareness is decided by the norm, a local sieve
+and Trager's method. At the degree place v(f) = deg den - deg num and, den being
 monic, the unit part of f is lc(num) there, so the class is a constant of k
 read off the leading coefficients. ``tame_symbol`` builds t itself in k(x),
 through x -> 1/x at the degree place, as a reference.

@@ -135,7 +135,12 @@ class PolyQ(_Poly):
         return PolyQ._make(_trim(list(reversed(self.coeffs))))
 
     def _inverse(self, modulus: "PolyQ") -> "PolyQ":
-        return _inverse_q(self, modulus)
+        """self^(-1) in Q[x]/(modulus), on the monic integer model."""
+        if self.is_zero() or modulus.degree < 1:
+            raise ZeroDivisionError("inverse of 0 in residue field")
+        P, f = _monic_model(modulus)
+        c, A = self.integer_model()
+        return _from_theta(*_power_product(f, P[-1], [(c, A, -1)]), P[-1])
 
     def integer_model(self) -> tuple[Fraction, tuple[int, ...]]:
         """(content, primitive integer coefficients): f = content * primitive."""
@@ -542,15 +547,6 @@ def _power_product(f: list[int], L: int, parts) -> tuple[list[int], Fraction]:
         v, res = _inv_z(bottom, f)
         top, s = _rem_z(_mul(top, v), f), s / res
     return top, s
-
-
-def _inverse_q(a: PolyQ, pi: PolyQ) -> PolyQ:
-    """a^(-1) in Q[x]/(pi) for a prime to pi, on the monic integer model."""
-    if a.is_zero() or pi.degree < 1:
-        raise ZeroDivisionError("inverse of 0 in residue field")
-    P, f = _monic_model(pi)
-    c, A = a.integer_model()
-    return _from_theta(*_power_product(f, P[-1], [(c, A, -1)]), P[-1])
 
 
 # The odd primes the local sieve tries before Trager's method. They change the
