@@ -517,6 +517,18 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
+def _factor_degrees(f, p: int) -> list[int] | None:
+    """The degrees of the irreducible factors of f mod p, for an integer f
+    whose leading coefficient p does not divide, or None when f is not
+    squarefree mod p: distinct-degree factorization alone, no splitting."""
+    m = _monic([c % p for c in f], p)
+    if len(_gcd(m, _trim([i * c % p for i, c in enumerate(m) if i]), p)) > 1:
+        return None
+    if len(m) == 2:
+        return [1]
+    return [d for g, d in _distinct_degree(m, _frobenius(m, p), p) for _ in range((len(g) - 1) // d)]
+
+
 def is_irreducible_fp(f: PolyFp) -> bool:
     """Ben-Or's irreducibility test for a nonconstant polynomial over F_p,
     behind a discriminant pre-filter for odd p.

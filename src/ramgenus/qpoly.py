@@ -33,8 +33,8 @@ from operator import mul
 from .errors import ZeroValuationError
 from .exactarith import is_rational_square, primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _distinct_degree, _divmod_monic, _frobenius, _gcd,
-    _inv_mod, _mul, _mul_mod, _Poly, _pow_mod, _trim, poly_factor_fp,
+    PolyFp, _add_mod, _check_char, _distinct_degree, _divmod_monic, _factor_degrees,
+    _frobenius, _gcd, _inv_mod, _mul, _mul_mod, _Poly, _pow_mod, _trim, poly_factor_fp,
 )
 
 _ZERO = Fraction(0)
@@ -350,10 +350,10 @@ def _hensel_lift(f: list[int], factors: list, p: int, modulus: int) -> list[list
     )
 
 
-def _subset_degrees(factors: list[PolyFp]) -> set[int]:
+def _subset_degrees(degrees: list[int]) -> set[int]:
     sums = {0}
-    for u in factors:
-        sums |= {s + u.degree for s in sums}
+    for k in degrees:
+        sums |= {s + k for s in sums}
     return sums
 
 
@@ -363,39 +363,42 @@ def _factor_squarefree(
     """Irreducible factors in Z[x] of a primitive squarefree f with positive
     leading coefficient (Zassenhaus).
 
-    f is factored modulo up to three primes p that do not divide lc(f) and
-    keep f squarefree (``first`` is one such factorization, if known); a
-    second and third prime are tried only while the factorizations seen so
-    far have more than one factor. A true factor's degree is a subset sum of
-    the modular factor degrees at every prime, so when no proper degree is
-    common to all of them f is irreducible. Otherwise the prime with the
-    fewest factors is Hensel-lifted and subsets of its lifted factors are
+    The degrees of the factors of f are found modulo up to three primes p
+    that do not divide lc(f) and keep f squarefree (``first`` is one such
+    factorization, if known), by distinct-degree factorization alone
+    (``gfpoly._factor_degrees``); a second and third prime are tried only
+    while the primes seen so far leave more than one factor. A true factor's
+    degree is a subset sum of the modular factor degrees at every prime, so
+    when no proper degree is common to all of them f is irreducible.
+    Otherwise f is split into irreducibles modulo the prime with the fewest
+    factors, those are Hensel-lifted, and subsets of the lifted factors are
     recombined, smallest first.
     """
     n = len(f) - 1
     if n == 1:
         return [f]
     allowed = set(range(n + 1))
-    tried: list[list[PolyFp]] = []
+    known = dict([first]) if first else {}
+    tried: list[tuple[int, list[int]]] = []
     primes = primes_after(first[0] if first else 2)
     while len(tried) < 3:
         if first is not None:
-            factors, first = first[1], None
+            p, degrees, first = first[0], [u.degree for u in first[1]], None
         else:
             p = next(primes)
             if f[-1] % p == 0:
                 continue
-            parts = poly_factor_fp(PolyFp(p, tuple(f)))
-            if any(mult > 1 for _, mult in parts):
+            degrees = _factor_degrees(f, p)
+            if degrees is None:
                 continue
-            factors = [u for u, _ in parts]
-        if len(factors) == 1:
+        if len(degrees) == 1:
             return [f]
-        allowed &= _subset_degrees(factors)
+        allowed &= _subset_degrees(degrees)
         if len(allowed) == 2:  # only 0 and n
             return [f]
-        tried.append(factors)
-    factors = min(tried, key=len)
+        tried.append((p, degrees))
+    p = min(tried, key=lambda t: len(t[1]))[0]
+    factors = known.get(p) or [u for u, _ in poly_factor_fp(PolyFp(p, tuple(f)))]
     return _recombine(f, factors, allowed)
 
 
