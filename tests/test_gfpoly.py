@@ -6,6 +6,7 @@ import pytest
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.gfpoly import (
     PolyFp,
+    _factor_degrees,
     _norm,
     fq_inv,
     is_irreducible_fp,
@@ -197,6 +198,27 @@ def random_irreducibles(rng, p, d, count):
         if f not in found and Poly(list(reversed(f.coeffs)), symbols("x"), modulus=p).is_irreducible:
             found.append(f)
     return found
+
+
+class TestFactorDegrees:
+    def test_against_full_factorization(self):
+        # the degrees of poly_factor_fp's factors, or None where a factor repeats
+        rng = random.Random(808)
+        for _ in range(300):
+            p = rng.choice([3, 5, 7, 11, 13])
+            f = [rng.randrange(-20, 21) for _ in range(rng.randint(1, 9))] + [rng.choice([1, 2, -3])]
+            if f[-1] % p == 0:
+                continue
+            parts = poly_factor_fp(PolyFp(p, tuple(f)))
+            want = None if any(m > 1 for _, m in parts) else sorted(u.degree for u, _ in parts)
+            got = _factor_degrees(f, p)
+            assert (got if got is None else sorted(got)) == want, (f, p)
+
+    def test_repeated_and_inseparable_factors(self):
+        assert _factor_degrees([1, 2, 1], 5) is None  # (x + 1)^2
+        assert _factor_degrees([1, 0, 0, 1], 3) is None  # x^3 + 1 = (x + 1)^3 mod 3
+        assert sorted(_factor_degrees([1, 0, 0, 0, 1], 17)) == [1, 1, 1, 1]
+        assert _factor_degrees([1, 0, 0, 0, 1], 3) == [2, 2]
 
 
 class TestFactorAgainstSympy:
