@@ -517,16 +517,19 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     return out
 
 
-def _factor_degrees(f, p: int) -> list[int] | None:
-    """The degrees of the irreducible factors of f mod p, for an integer f
-    whose leading coefficient p does not divide, or None when f is not
-    squarefree mod p: distinct-degree factorization alone, no splitting."""
+def _squarefree_ddf(f, p: int):
+    """(frob, [(product of the irreducibles of degree d, d)]) for f mod p,
+    f an integer polynomial whose leading coefficient p does not divide, or
+    None when f is not squarefree mod p: distinct-degree factorization
+    alone, no splitting; ``frob`` is the Frobenius modulo f (None for a
+    linear f)."""
     m = _monic([c % p for c in f], p)
     if len(_gcd(m, _trim([i * c % p for i, c in enumerate(m) if i]), p)) > 1:
         return None
     if len(m) == 2:
-        return [1]
-    return [d for g, d in _distinct_degree(m, _frobenius(m, p), p) for _ in range((len(g) - 1) // d)]
+        return None, [(m, 1)]
+    frob = _frobenius(m, p)
+    return frob, _distinct_degree(m, frob, p)
 
 
 def is_irreducible_fp(f: PolyFp) -> bool:

@@ -31,10 +31,10 @@ from math import gcd as int_gcd
 from operator import mul
 
 from .errors import ZeroValuationError
-from .exactarith import is_rational_square, primes_after
+from .exactarith import primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _distinct_degree, _divmod_monic, _factor_degrees,
-    _frobenius, _gcd, _inv_mod, _mul, _mul_mod, _Poly, _pow_mod, _trim, poly_factor_fp,
+    PolyFp, _add_mod, _check_char, _divmod_monic, _gcd, _inv_mod, _mul, _mul_mod, _Poly,
+    _pow_mod, _squarefree_ddf, _trim, poly_factor_fp,
 )
 
 _ZERO = Fraction(0)
@@ -366,7 +366,7 @@ def _factor_squarefree(
     The degrees of the factors of f are found modulo up to three primes p
     that do not divide lc(f) and keep f squarefree (``first`` is one such
     factorization, if known), by distinct-degree factorization alone
-    (``gfpoly._factor_degrees``); a second and third prime are tried only
+    (``gfpoly._squarefree_ddf``); a second and third prime are tried only
     while the primes seen so far leave more than one factor. A true factor's
     degree is a subset sum of the modular factor degrees at every prime, so
     when no proper degree is common to all of them f is irreducible.
@@ -388,9 +388,10 @@ def _factor_squarefree(
             p = next(primes)
             if f[-1] % p == 0:
                 continue
-            degrees = _factor_degrees(f, p)
-            if degrees is None:
+            ddf = _squarefree_ddf(f, p)
+            if ddf is None:
                 continue
+            degrees = [d for g, d in ddf[1] for _ in range((len(g) - 1) // d)]
         if len(degrees) == 1:
             return [f]
         allowed &= _subset_degrees(degrees)
@@ -594,13 +595,13 @@ def _local_nonsquare(r: list[int], f: list[int]) -> bool:
     rational norm.
     """
     for p in _SIEVE_PRIMES:
-        fp = [c % p for c in f]
-        if len(_gcd(fp, _trim([i * c % p for i, c in enumerate(fp) if i]), p)) > 1:
-            continue  # f is not squarefree mod p
-        frob = _frobenius(fp, p)
+        ddf = _squarefree_ddf(f, p)
+        if ddf is None:
+            continue
+        frob, parts = ddf
         rp = _trim([c % p for c in r])
-        for g, k in _distinct_degree(fp, frob, p):
-            if k == len(fp) - 1:
+        for g, k in parts:
+            if k == len(f) - 1:
                 break  # f is irreducible mod p
             g = _divmod_monic(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
             if len(g) == 1:

@@ -6,7 +6,7 @@ import pytest
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.gfpoly import (
     PolyFp,
-    _factor_degrees,
+    _squarefree_ddf,
     _norm,
     fq_inv,
     is_irreducible_fp,
@@ -200,7 +200,12 @@ def random_irreducibles(rng, p, d, count):
     return found
 
 
-class TestFactorDegrees:
+class TestSquarefreeDdf:
+    @staticmethod
+    def degrees(f, p):
+        ddf = _squarefree_ddf(f, p)
+        return None if ddf is None else sorted(d for g, d in ddf[1] for _ in range((len(g) - 1) // d))
+
     def test_against_full_factorization(self):
         # the degrees of poly_factor_fp's factors, or None where a factor repeats
         rng = random.Random(808)
@@ -211,14 +216,13 @@ class TestFactorDegrees:
                 continue
             parts = poly_factor_fp(PolyFp(p, tuple(f)))
             want = None if any(m > 1 for _, m in parts) else sorted(u.degree for u, _ in parts)
-            got = _factor_degrees(f, p)
-            assert (got if got is None else sorted(got)) == want, (f, p)
+            assert self.degrees(f, p) == want, (f, p)
 
     def test_repeated_and_inseparable_factors(self):
-        assert _factor_degrees([1, 2, 1], 5) is None  # (x + 1)^2
-        assert _factor_degrees([1, 0, 0, 1], 3) is None  # x^3 + 1 = (x + 1)^3 mod 3
-        assert sorted(_factor_degrees([1, 0, 0, 0, 1], 17)) == [1, 1, 1, 1]
-        assert _factor_degrees([1, 0, 0, 0, 1], 3) == [2, 2]
+        assert _squarefree_ddf([1, 2, 1], 5) is None  # (x + 1)^2
+        assert _squarefree_ddf([1, 0, 0, 1], 3) is None  # x^3 + 1 = (x + 1)^3 mod 3
+        assert self.degrees([1, 0, 0, 0, 1], 17) == [1, 1, 1, 1]
+        assert self.degrees([1, 0, 0, 0, 1], 3) == [2, 2]
 
 
 class TestFactorAgainstSympy:
