@@ -8,15 +8,16 @@ in Z[x] on int lists. The gcd is a primitive remainder sequence
 (``_gcd_z``), the resultant the subresultant algorithm (``_resultant_z``),
 and factorization follows Zassenhaus (1969; von zur Gathen-Gerhard, Modern
 Computer Algebra, ch. 15): the squarefree part f / gcd(f, f') when needed,
-factorization modulo a small prime with ``gfpoly.poly_factor_fp``,
-quadratic Hensel lifting past a Mignotte bound, and recombination of lifted
-factors checked by exact division.
+factor degrees modulo up to three small primes, factorization modulo one
+of them with ``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a
+Mignotte bound, and recombination of lifted factors checked by exact
+division.
 
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
 Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
-exact remainders by the monic f, and an inverse (``fq_inv``, through
-``PolyQ._inverse``) is res / b with res = Res(f, b), lifted p-adically
-past a Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
+exact remainders by the monic f, and the inverse of b (``fq_inv``, through
+``PolyQ._inverse``) is v / res with res = Res(f, b) and v integral, lifted
+p-adically past a Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
 a local sieve modulo a few primes and Trager's norm method, in that order
 (``is_square_mod``). It is self-contained: no computer-algebra system is
 imported.
@@ -621,8 +622,10 @@ def _is_square_z(r: list[int], f: list[int]) -> bool:
     norm = _resultant_z(f, r)
     if norm < 0 or isqrt(norm) ** 2 != norm:
         return False
-    if len(f) == 2 or _local_nonsquare(r, f):
-        return len(f) == 2  # over Q the norm is r itself
+    if len(f) == 2:
+        return True  # over Q the norm is r itself
+    if _local_nonsquare(r, f):
+        return False
     M, s = _char_poly(r, f), 0
     while len(_gcd_z(M, [i * c for i, c in enumerate(M) if i])) > 1:
         s += 1
