@@ -171,6 +171,16 @@ class TestDistinguish:
         with pytest.raises(WitnessSearchExhausted):
             distinguishing_field(QuaternionQ(-1, 3), QuaternionQ(-1, 7), max_witness=1)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_search_cap_below_one_admits_no_witness(self, cap):
+        # d = -1 has |d| = 1, over any cap below 1
+        from ramgenus.errors import WitnessSearchExhausted
+
+        D1, D2 = QuaternionQ(-1, -1), QuaternionQ(2, 5)
+        with pytest.raises(WitnessSearchExhausted):
+            distinguishing_field(D1, D2, max_witness=cap)
+        assert distinguishing_field(D1, D2, max_witness=1).d == -1
+
     def test_deterministic(self):
         D1, D2 = QuaternionQ(-2, -5), QuaternionQ(-1, 7)
         assert distinguishing_field(D1, D2) == distinguishing_field(D1, D2)

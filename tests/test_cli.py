@@ -313,6 +313,13 @@ class TestMainExitCodes:
         assert main(["embed", "10", "(1, 5)"]) == EXIT_PRECONDITION
         assert "error" in capsys.readouterr().err
 
+    def test_witness_cap_zero_exhausts_the_search(self, capsys):
+        argv = ["distinguish", "(-1, -1)", "(2, 5)", "--max-witness"]
+        assert main(argv + ["0"]) == EXIT_PRECONDITION
+        assert "no witness with |d| <= 0" in capsys.readouterr().err
+        assert main(argv + ["1"]) == EXIT_OK
+        assert "Q(sqrt(-1))" in capsys.readouterr().out
+
     def test_proven_square_exits_zero(self, capsys):
         assert main(["ff-ramify", "(2, x^2 - 2; n=2, k=Q)"]) == EXIT_OK
         assert "count: 0" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,18 @@ class TestRationalFunction:
             for e in range(4):
                 assert f.pow(-e) == power
                 power = power * f.inverse()
+
+    def test_coprime_high_height_quotient_reduces_at_once(self):
+        # x^64 + 3 C over a random monic g of degree 64, both with 256-bit
+        # coefficients: once a full primitive remainder sequence
+        rng = random.Random(17)
+        C = [rng.getrandbits(256) * rng.choice([-1, 1]) for _ in range(64)]
+        num = PolyQ.of([3 * c for c in C] + [1])
+        den = PolyQ.of([rng.getrandbits(256) * rng.choice([-1, 1]) for _ in range(64)] + [1])
+        start = time.perf_counter()
+        f = RationalFunction(num, den)
+        assert time.perf_counter() - start < 0.5
+        assert (f.num, f.den) == (num, den)
 
 
 class TestTameResidue:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
-from ramgenus import qpoly
+from ramgenus import gfpoly, qpoly
 from ramgenus.gfpoly import _mul, fq_inv
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
@@ -96,6 +96,35 @@ class TestGcd:
         assert zero.gcd(zero).is_zero()
         assert f.gcd(zero) == f.monic() and c.gcd(f) == PolyQ.constant(1)
 
+    def test_coprime_pairs_that_meet_modulo_2_31_minus_1(self):
+        # coprime over Q, but with a common factor modulo 2^31 - 1
+        P = 2**31 - 1
+        x = PolyQ.x()
+        pairs = [
+            (x, PolyQ.of([P, 1])),
+            (PolyQ.of([1, 1]) * PolyQ.of([2, 1]), PolyQ.of([1 + P, 1]) * PolyQ.of([3, 1])),
+            (PolyQ.of([1, 0, 1]), PolyQ.of([1 + 2 * P, 0, 1]) * PolyQ.of([5, 7])),
+        ]
+        for f, g in pairs:
+            assert f.gcd(g) == euclid_gcd(f, g) == PolyQ.constant(1), (str(f), str(g))
+            assert g.gcd(f) == PolyQ.constant(1)
+
+    def test_leading_coefficient_divisible_by_2_31_minus_1(self):
+        # modulo that prime such a pair drops degree, and its gcd there says
+        # nothing about the gcd over Q
+        P = 2**31 - 1
+        h = PolyQ.of([1, P])
+        pairs = [
+            (h * PolyQ.of([2, 1]), h * PolyQ.of([3, 1])),
+            (h * PolyQ.of([2, 1]), PolyQ.of([3, 1])),
+            (PolyQ.of([1, 0, P]), PolyQ.of([1, 1])),
+            (h * h * PolyQ.of([-1, 0, 1]), h * PolyQ.of([1, 1])),
+            (PolyQ.of([7, 0, 3 * P]) * PolyQ.of([1, 2]), PolyQ.of([1, 2]) * PolyQ.of([5, P])),
+        ]
+        for f, g in pairs:
+            assert f.gcd(g) == euclid_gcd(f, g), (str(f), str(g))
+            assert g.gcd(f) == euclid_gcd(g, f), (str(g), str(f))
+
 
 class TestFactor:
     def test_difference_of_squares(self):
@@ -126,6 +155,68 @@ class TestFactor:
     def test_rejects_zero(self):
         with pytest.raises(ZeroValuationError):
             factor_q(PolyQ(()))
+
+
+def eisenstein_stall(seed=17, degree=64, bits=256):
+    """x^degree + 3 C(x): C random with bits-bit coefficients and C(0) prime
+    to 3, so the input is Eisenstein at 3, irreducible, and not squarefree
+    modulo 3."""
+    rng = random.Random(seed)
+    C = [rng.getrandbits(bits) * rng.choice([-1, 1]) for _ in range(degree)]
+    C[0] += 0 if C[0] % 3 else 1
+    return PolyQ.of([3 * c for c in C] + [1]), rng
+
+
+class TestFactorStalls:
+    def test_eisenstein_degree_64(self):
+        f, _ = eisenstein_stall()
+        start = time.perf_counter()
+        assert factor_q(f) == (Fraction(1), [(f, 1)])
+        assert time.perf_counter() - start < 0.5
+
+
+class TestFactorCallCounts:
+    """factor_q splits modulo one prime, from its own distinct-degree pass:
+    poly_factor_fp is never called, and the equal-degree split runs at one
+    prime, not at all when the factor degrees prove irreducibility."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"poly_factor_fp": 0, "split_primes": set()}
+        factor, split = gfpoly.poly_factor_fp, gfpoly._equal_degree_split
+
+        def count_factor(f):
+            calls["poly_factor_fp"] += 1
+            return factor(f)
+
+        def count_split(f, d, frob, p, rng):
+            calls["split_primes"].add(p)
+            return split(f, d, frob, p, rng)
+
+        for module in (gfpoly, qpoly):
+            monkeypatch.setattr(module, "poly_factor_fp", count_factor, raising=False)
+            monkeypatch.setattr(module, "_equal_degree_split", count_split, raising=False)
+        return calls
+
+    def test_reducible_mod_every_prime(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        f = PolyQ.of([1, 0, 0, 0, 1]) * PolyQ.of([1, 0, -10, 0, 1]) * PolyQ.of([-2, 1])
+        assert factor_q(f) == sympy_factor_q(f)
+        assert calls["poly_factor_fp"] == 0 and len(calls["split_primes"]) == 1
+
+    def test_repeated_factors(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        w = PolyQ.of([1, 1, 1])  # (x - 1)^2 mod 3
+        f = w * w * w * PolyQ.of([-2, 0, 0, 1]) * PolyQ.of([3, 1]) * PolyQ.of([3, 1])
+        assert factor_q(f) == sympy_factor_q(f)
+        assert calls["poly_factor_fp"] == 0 and len(calls["split_primes"]) == 1
+
+    def test_degrees_alone_prove_irreducibility(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        f, _ = eisenstein_stall()
+        for g in (f, PolyQ.of([-2, 0, 0, 0, 0, 1]), PolyQ.of([1, 1, 1])):
+            assert is_irreducible_q(g), str(g)
+        assert calls == {"poly_factor_fp": 0, "split_primes": set()}
 
 
 class TestRationalRoots:
