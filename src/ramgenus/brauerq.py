@@ -159,12 +159,15 @@ _SIEVE_BLOCK = 1 << 16
 
 
 def _squarefree_candidates(limit: int):
-    """Squarefree d ordered by |d|, positive before negative, skipping 1.
+    """Squarefree d with |d| <= limit, ordered by |d|, positive before
+    negative, skipping 1 (none when limit < 1).
 
     A segmented sieve: each block [lo, hi) crosses out the multiples of q^2
     for 2 <= q <= sqrt(hi - 1). Blocks double in width up to 2^16, so an
     early witness costs a small block and memory stays bounded for any limit.
     """
+    if limit < 1:
+        return
     yield -1
     lo, width = 2, 64
     while lo <= limit:

@@ -337,9 +337,9 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     At the degree place it is the constant (-1)^(v_a v_b) lc(a)^(v_b)
     lc(b)^(-v_a); at a finite place it is formed on int lists, over F_p
     (``_residue_fp``) and over Q on integer models (``_residue_q``). Over
-    Q(x) squareness is decided exactly: by ``is_rational_square`` where the
-    residue field is Q, above degree 1 by the norm, a local sieve modulo a
-    few primes and Trager's method, in that order (see ``_residue_q``).
+    Q(x) squareness is decided exactly: by ``is_rational_square`` at the
+    degree place, at a finite place by the norm, a local sieve modulo a few
+    primes and Trager's method, in that order (see ``_residue_q``).
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
@@ -393,10 +393,10 @@ def _residue_q(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     of pi (Gauss's lemma), and what is left is its unit part. The unit parts
     with a nonzero exponent form the residue s W(theta) on the monic model of
     the residue field (``qpoly._power_product``, one inverse at the end).
-    The verdict is a proof: at a degree-1 place the residue is a rational,
-    tested by ``is_rational_square``; above it the square class of s W is
-    that of the integer element s.numerator s.denominator W, decided by the
-    norm, the local sieve and Trager's method (``qpoly._is_square_z``).
+    The verdict is a proof: the square class of s W is that of the integer
+    element s.numerator s.denominator W, decided by the norm, the local sieve
+    and Trager's method (``qpoly._is_square_z``); at a degree-1 place the
+    norm is that integer itself, and the residue is reported as a rational.
     """
     P, f = _monic_model(w.pi)
     vals, units = [], []
@@ -415,7 +415,6 @@ def _residue_q(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     residue = _from_theta(W, s, P[-1])
     if len(f) == 2:
         residue = residue.constant_value()
-        return TameResidue(w, residue, not is_rational_square(residue))
     scaled = [s.numerator * s.denominator * c for c in W]
     return TameResidue(w, residue, not _is_square_z(scaled, f))
 

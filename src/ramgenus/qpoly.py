@@ -4,14 +4,14 @@
 stripped; its ring operations build their results with the trusted
 ``PolyQ._make``, and structure, ``pow_mod`` and printing come from
 ``gfpoly._Poly``, which PolyQ shares with PolyFp. Everything heavier works
-in Z[x] on int lists. The gcd is a primitive remainder sequence
-(``_gcd_z``), the resultant the subresultant algorithm (``_resultant_z``),
-and factorization follows Zassenhaus (1969; von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 15): the squarefree part f / gcd(f, f') when needed,
-factor degrees modulo up to three small primes, factorization modulo one
-of them with ``gfpoly.poly_factor_fp``, quadratic Hensel lifting past a
-Mignotte bound, and recombination of lifted factors checked by exact
-division.
+in Z[x] on int lists. The gcd settles coprime pairs modulo one prime and
+runs a primitive remainder sequence otherwise (``_gcd_z``), the resultant
+is the subresultant algorithm (``_resultant_z``), and factorization follows
+Zassenhaus (1969; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15):
+the squarefree part f / gcd(f, f'), factor degrees modulo up to three small
+primes by distinct-degree factorization, equal-degree splitting of those
+parts modulo one of them, quadratic Hensel lifting past a Mignotte bound,
+and recombination of lifted factors checked by exact division.
 
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
 Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
@@ -25,6 +25,7 @@ imported.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, lcm
@@ -34,8 +35,8 @@ from operator import mul
 from .errors import ZeroValuationError
 from .exactarith import primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _divmod_monic, _gcd, _inv_mod, _mul, _mul_mod, _Poly,
-    _pow_mod, _squarefree_ddf, _trim, poly_factor_fp,
+    PolyFp, _add_mod, _check_char, _divmod_monic, _equal_degree_split, _gcd, _inv_mod, _mul,
+    _mul_mod, _Poly, _pow_mod, _squarefree_ddf, _trim,
 )
 
 _ZERO = Fraction(0)
@@ -188,13 +189,26 @@ def _prem(a, b) -> list[int]:
     return _trim(rem)
 
 
+# The prime that settles coprime gcds (``_gcd_z``) and the first prime the
+# p-adic inverse is lifted from (``_inv_z``).
+_LIFT_PRIME = (1 << 31) - 1
+
+
 def _gcd_z(a, b) -> list[int]:
-    """The primitive part of gcd(a, b) in Z[x] (empty when both are), by the
-    primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each remainder
-    is the pseudo-remainder over its content, so no coefficient is a
-    fraction or outgrows the subresultants."""
+    """The primitive part of gcd(a, b) in Z[x] (empty when both are).
+
+    Coprime pairs are settled modulo ``_LIFT_PRIME`` = p first: when p divides
+    neither leading coefficient, the gcd in Z[x] keeps its degree mod p and
+    divides both there, so a constant gcd mod p proves a and b coprime. Any
+    other pair runs the primitive remainder sequence (Knuth, TAOCP vol. 2,
+    4.6.1): each remainder is the pseudo-remainder over its content, so no
+    coefficient is a fraction or outgrows the subresultants."""
     if len(a) < len(b):
         a, b = b, a
+    p = _LIFT_PRIME
+    if len(b) > 1 and a[-1] % p and b[-1] % p:
+        if len(_gcd([c % p for c in a], [c % p for c in b], p)) == 1:
+            return [1]
     while len(b) > 1:
         a, b = b, _primitive(_prem(a, b))
     return [1] if b else _primitive(a)
@@ -255,9 +269,6 @@ def _pow_z(a, e: int, f) -> list[int]:
         if bit == "1":
             out = _rem_z(_mul(out, a), f)
     return out
-
-
-_LIFT_PRIME = (1 << 31) - 1  # the first prime the inverse is lifted from
 
 
 def _inv_z(b, f) -> tuple[list[int], int]:
@@ -358,53 +369,50 @@ def _subset_degrees(degrees: list[int]) -> set[int]:
     return sums
 
 
-def _factor_squarefree(
-    f: list[int], first: tuple[int, list[PolyFp]] | None = None
-) -> list[list[int]]:
+def _factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors in Z[x] of a primitive squarefree f with positive
     leading coefficient (Zassenhaus).
 
     The degrees of the factors of f are found modulo up to three primes p
-    that do not divide lc(f) and keep f squarefree (``first`` is one such
-    factorization, if known), by distinct-degree factorization alone
-    (``gfpoly._squarefree_ddf``); a second and third prime are tried only
-    while the primes seen so far leave more than one factor. A true factor's
-    degree is a subset sum of the modular factor degrees at every prime, so
-    when no proper degree is common to all of them f is irreducible.
-    Otherwise f is split into irreducibles modulo the prime with the fewest
-    factors, those are Hensel-lifted, and subsets of the lifted factors are
-    recombined, smallest first.
+    that do not divide lc(f) and keep f squarefree, by distinct-degree
+    factorization alone (``gfpoly._squarefree_ddf``); a second and third
+    prime are tried only while the primes seen so far leave more than one
+    factor. A true factor's degree is a subset sum of the modular factor
+    degrees at every prime, so when no proper degree is common to all of
+    them f is irreducible. Otherwise, at the prime with the fewest factors,
+    each distinct-degree part is split into irreducibles by Cantor-Zassenhaus
+    (``gfpoly._equal_degree_split``, seeded per input), those are
+    Hensel-lifted, and subsets of the lifted factors are recombined,
+    smallest first.
     """
     n = len(f) - 1
     if n == 1:
         return [f]
     allowed = set(range(n + 1))
-    known = dict([first]) if first else {}
-    tried: list[tuple[int, list[int]]] = []
-    primes = primes_after(first[0] if first else 2)
-    while len(tried) < 3:
-        if first is not None:
-            p, degrees, first = first[0], [u.degree for u in first[1]], None
-        else:
-            p = next(primes)
-            if f[-1] % p == 0:
-                continue
-            ddf = _squarefree_ddf(f, p)
-            if ddf is None:
-                continue
-            degrees = [d for g, d in ddf[1] for _ in range((len(g) - 1) // d)]
+    tried = []
+    for p in primes_after(2):
+        if f[-1] % p == 0:
+            continue
+        ddf = _squarefree_ddf(f, p)
+        if ddf is None:
+            continue
+        degrees = [d for g, d in ddf[1] for _ in range((len(g) - 1) // d)]
         if len(degrees) == 1:
             return [f]
         allowed &= _subset_degrees(degrees)
         if len(allowed) == 2:  # only 0 and n
             return [f]
-        tried.append((p, degrees))
-    p = min(tried, key=lambda t: len(t[1]))[0]
-    factors = known.get(p) or [u for u, _ in poly_factor_fp(PolyFp(p, tuple(f)))]
-    return _recombine(f, factors, allowed)
+        tried.append((len(degrees), p, ddf))
+        if len(tried) == 3:
+            break
+    _, p, (frob, parts) = min(tried, key=lambda t: t[0])
+    # the seed poly_factor_fp takes for f mod p, so the splits are the ones it makes
+    rng = random.Random(("gfpoly", p, tuple(c % p for c in f)).__repr__())
+    factors = [u for g, d in parts for u in _equal_degree_split(g, d, frob, p, rng)]
+    return _recombine(f, factors, p, allowed)
 
 
-def _recombine(f: list[int], factors: list[PolyFp], allowed: set[int]) -> list[list[int]]:
+def _recombine(f: list[int], factors: list, p: int, allowed: set[int]) -> list[list[int]]:
     """Zassenhaus recombination with the leading-coefficient trick.
 
     Every factor g of f of degree k < deg f gives lc(f) g / lc(g), an integer
@@ -418,11 +426,10 @@ def _recombine(f: list[int], factors: list[PolyFp], allowed: set[int]) -> list[l
     """
     n = len(f) - 1
     bound = comb(n, n // 2) * (isqrt(sum(c * c for c in f)) + 1)
-    p = factors[0].p
     modulus = p
     while modulus <= 2 * bound:
         modulus *= modulus
-    lifted = _hensel_lift(f, [u.coeffs for u in factors], p, modulus)
+    lifted = _hensel_lift(f, factors, p, modulus)
     out = []
     size = 1
     while 2 * size <= len(lifted):
@@ -453,11 +460,9 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
 
     constant * prod(factor^mult) == f exactly; the constant is lc(f) and the
     factors are sorted by (degree, coefficients). Powers of x are split off
-    first. If the rest stays squarefree modulo the first prime p not dividing
-    its leading coefficient, it is squarefree over Q and that factorization
-    mod p is reused by ``_factor_squarefree``. Otherwise that function
-    factors its squarefree part rest / gcd(rest, rest'), and each
-    irreducible's multiplicity is the number of times it divides rest.
+    first; ``_factor_squarefree`` factors the squarefree part
+    rest / gcd(rest, rest') of the rest, and each irreducible's multiplicity
+    is the number of times it divides rest.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
@@ -467,20 +472,13 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     shift = next(i for i, c in enumerate(ints) if c)
     rest = list(ints[shift:])
     found: list[tuple[list[int], int]] = [([0, 1], shift)] if shift else []
-    if len(rest) == 2:
-        found.append((rest, 1))
-    elif len(rest) > 2:
-        p = next(q for q in primes_after(2) if rest[-1] % q)
-        parts = poly_factor_fp(PolyFp(p, tuple(rest)))
-        if all(mult == 1 for _, mult in parts):
-            found += [(g, 1) for g in _factor_squarefree(rest, (p, [u for u, _ in parts]))]
-        else:
-            core = _exact_quotient(rest, _gcd_z(rest, [i * c for i, c in enumerate(rest) if i]))
-            for g in _factor_squarefree(core):
-                mult, q = 0, _exact_quotient(rest, g)
-                while q is not None:
-                    rest, mult, q = q, mult + 1, _exact_quotient(q, g)
-                found.append((g, mult))
+    if len(rest) > 1:
+        core = _exact_quotient(rest, _gcd_z(rest, [i * c for i, c in enumerate(rest) if i]))
+        for g in _factor_squarefree(core):
+            mult, q = 0, _exact_quotient(rest, g)
+            while q is not None:
+                rest, mult, q = q, mult + 1, _exact_quotient(q, g)
+            found.append((g, mult))
     out = [(PolyQ._make(Fraction(c, g[-1]) for c in g), mult) for g, mult in found]
     out.sort(key=lambda t: t[0].sort_key())
     return f.leading(), out
