@@ -1,9 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from ramgenus import brauerq
 from ramgenus.brauerq import (
     QuadraticField,
     QuaternionQ,
@@ -17,9 +20,17 @@ from ramgenus.brauerq import (
     is_isomorphic,
     ramification_set,
 )
-from ramgenus.errors import SplitAlgebraError, ZeroValuationError
-from ramgenus.exactarith import factor
-from ramgenus.localsymbols import REAL_PLACE, PlaceQ
+from ramgenus.errors import (
+    PrimalityRangeError,
+    SplitAlgebraError,
+    WitnessSearchExhausted,
+    ZeroValuationError,
+)
+from ramgenus.exactarith import factor, is_prime
+from ramgenus.localsymbols import REAL_PLACE, PlaceQ, is_local_square
+
+# primes = 3 mod 4: (-1, b) ramifies at each that divides b once
+PRIMES_3_MOD_4 = [p for p in range(3, 200) if p % 4 == 3 and is_prime(p)]
 
 
 def random_rational(rng, height=60):
@@ -27,6 +38,30 @@ def random_rational(rng, height=60):
         n = rng.randint(-height, height)
         if n:
             return Fraction(n, rng.randint(1, height))
+
+def block_edges(limit):
+    """Where the candidate sieve starts its blocks: at 2, then widths doubling
+    from 64 up to 2^16."""
+    edges, lo, width = [], 2, 64
+    while lo <= limit:
+        edges.append(lo)
+        lo, width = lo + width, min(2 * width, 1 << 16)
+    return edges
+
+
+def scan_witness(D1, D2, max_witness=10**6):
+    """The per-candidate witness scan that the block sieve replaced, kept as
+    the reference: every squarefree d by |d|, positive first, tested at v0 and
+    at each ramified place of the other algebra."""
+    r1, r2 = ramification_set(D1), ramification_set(D2)
+    if r1 == r2:
+        return None
+    v0 = min(set(r1.places) ^ set(r2.places))
+    other = r2 if v0 in r1 else r1
+    for d in TestSquarefreeCandidates.by_factoring(max_witness):
+        if is_local_square(d, v0) and not any(is_local_square(d, v) for v in other):
+            return QuadraticField(d)
+    raise WitnessSearchExhausted(f"no witness with |d| <= {max_witness}")
 
 
 class TestRamificationSet:
@@ -97,6 +132,44 @@ class TestRamificationSet:
     def test_zero_entry_rejected(self):
         with pytest.raises(ZeroValuationError):
             QuaternionQ(0, 3)
+
+
+class TestRamificationMemo:
+    def test_equal_algebra_reuses_the_set(self, monkeypatch):
+        ramification_set.cache_clear()
+        calls = []
+        real_hilbert = brauerq.hilbert
+        monkeypatch.setattr(
+            brauerq, "hilbert", lambda a, b, v: calls.append(v) or real_hilbert(a, b, v)
+        )
+        first = ramification_set(QuaternionQ(-3, Fraction(10, 7)))
+        assert calls
+        calls.clear()
+        for a, b in ((Fraction(-3), "10/7"), ("-3", Fraction(20, 14)), (-3, "20/14")):
+            assert ramification_set(QuaternionQ(a, b)) == first
+        assert calls == []
+
+    def test_callers_share_the_sets(self, monkeypatch):
+        ramification_set.cache_clear()
+        D1, D2 = QuaternionQ(-1, 3 * 7 * 11), QuaternionQ(-1, 3)
+        ramification_set(D1), ramification_set(D2)
+        calls = []
+        real_hilbert = brauerq.hilbert
+        monkeypatch.setattr(
+            brauerq, "hilbert", lambda a, b, v: calls.append(v) or real_hilbert(a, b, v)
+        )
+        field = distinguishing_field(QuaternionQ(-1, 231), QuaternionQ("-1", "3"))
+        assert embeds(field, D1) != embeds(field, D2)
+        assert not is_isomorphic(D1, D2) and is_division(D2)
+        assert calls == []
+
+    def test_errors_are_not_cached(self):
+        ramification_set.cache_clear()
+        D = QuaternionQ(2**89 - 1, 3)
+        for _ in range(2):
+            with pytest.raises(PrimalityRangeError):
+                ramification_set(D)
+        assert ramification_set.cache_info().currsize == 0
 
 
 class TestIsomorphism:
@@ -201,6 +274,75 @@ class TestDistinguish:
                 assert embeds(field, D1) != embeds(field, D2)
 
 
+    def test_eighteen_ramified_primes_at_once(self):
+        # the per-candidate scan tests about 1.2 million candidates here
+        D1 = QuaternionQ(-1, prod(PRIMES_3_MOD_4[:18]))
+        start = time.perf_counter()
+        field = distinguishing_field(D1, QuaternionQ(-1, 3))
+        assert time.perf_counter() - start < 0.5
+        assert field.d == 961089
+
+    def test_twenty_ramified_primes_exhaust_the_cap_at_once(self):
+        D1 = QuaternionQ(-1, prod(PRIMES_3_MOD_4[:20]))
+        start = time.perf_counter()
+        with pytest.raises(WitnessSearchExhausted):
+            distinguishing_field(D1, QuaternionQ(-1, 3))
+        assert time.perf_counter() - start < 0.5
+
+
+class TestSievedScan:
+    """``distinguishing_field`` against ``scan_witness``, the per-candidate
+    scan."""
+
+    def test_random_pairs(self):
+        rng = random.Random(157)
+        small = [p for p in range(2, 200) if is_prime(p)]
+
+        def entry():
+            n = rng.choice((-1, 1)) * prod(rng.sample(small, rng.randint(0, 4)))
+            return Fraction(n, rng.choice((1, 1, 2, 3, 5, 7)))
+
+        pairs = []
+        while len(pairs) < 80:
+            D1, D2 = QuaternionQ(entry(), entry()), QuaternionQ(entry(), entry())
+            if is_division(D1) and is_division(D2):
+                pairs.append((D1, D2))
+        # up to 12 ramified primes = 3 mod 4: witnesses past the first blocks
+        for _ in range(30):
+            m = prod(rng.sample(PRIMES_3_MOD_4[:16], rng.randint(2, 12)))
+            pairs.append((QuaternionQ(-1, m), QuaternionQ(-1, rng.choice(PRIMES_3_MOD_4[:5]))))
+        # a ramified prime above 2^16, which the sieve never reaches; an even
+        # count of primes = 3 mod 4 keeps 2 out of the first set, so v0 = 2
+        # and the big prime is among the places that want a nonsquare
+        for big in (65539, 131071, 2**31 - 1):
+            for _ in range(4):
+                m = prod(rng.sample(PRIMES_3_MOD_4[:14], 2 * rng.randint(0, 5) + 1))
+                D1, D2 = QuaternionQ(-1, big * m), QuaternionQ(-1, 3)
+                assert PlaceQ.finite(big) in ramification_set(D1)
+                assert min(set(ramification_set(D1)) ^ set(ramification_set(D2))).p == 2
+                pairs.append((D1, D2))
+        for D1, D2 in pairs:
+            assert distinguishing_field(D1, D2) == scan_witness(D1, D2)
+
+    @pytest.mark.parametrize(
+        "b, witness",
+        [
+            (prod(PRIMES_3_MOD_4[:14]), 47033),
+            (65539 * prod(PRIMES_3_MOD_4[:13]), 93057),
+            (131071 * prod(PRIMES_3_MOD_4[1:14]), -86447),
+        ],
+    )
+    def test_caps_at_block_edges(self, b, witness):
+        D1, D2 = QuaternionQ(-1, b), QuaternionQ(-1, 3)
+        assert scan_witness(D1, D2).d == witness
+        for cap in sorted({e + k for e in block_edges(2 * abs(witness)) for k in (-1, 0, 1)}):
+            if abs(witness) <= cap:
+                assert distinguishing_field(D1, D2, max_witness=cap).d == witness
+            else:
+                with pytest.raises(WitnessSearchExhausted):
+                    distinguishing_field(D1, D2, max_witness=cap)
+
+
 class TestSquarefreeCandidates:
     @staticmethod
     def by_factoring(limit):
@@ -219,12 +361,7 @@ class TestSquarefreeCandidates:
 
     def test_block_edges(self):
         ref = list(self.by_factoring(10**5))
-        # sieve blocks start at 2 and double from 64 up to 2^16 wide
-        edges, lo, width = [], 2, 64
-        while lo <= 10**5:
-            edges.append(lo)
-            lo, width = lo + width, min(2 * width, 1 << 16)
-        for limit in sorted({e + k for e in edges for k in (-2, -1, 0, 1)}):
+        for limit in sorted({e + k for e in block_edges(10**5) for k in (-2, -1, 0, 1)}):
             if limit >= 1:
                 expected = [d for d in ref if abs(d) <= limit]
                 assert list(_squarefree_candidates(limit)) == expected
