@@ -9,6 +9,8 @@ nonsplit, and the sum of its local invariants vanishes (Hilbert reciprocity).
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from fractions import Fraction
 from math import isqrt
@@ -60,14 +62,6 @@ class RamificationSet(Value):
             )
         object.__setattr__(self, "places", ordered)
 
-    @classmethod
-    def _from_sorted(cls, places: tuple[PlaceQ, ...]) -> "RamificationSet":
-        """Trusted constructor for a tuple that is already sorted, distinct
-        and of even size; skips the checks that the constructor runs."""
-        ram = object.__new__(cls)
-        object.__setattr__(ram, "places", places)
-        return ram
-
     def __iter__(self):
         return iter(self.places)
 
@@ -97,8 +91,14 @@ def candidate_places(D: QuaternionQ) -> list[PlaceQ]:
     return places
 
 
+@functools.lru_cache(maxsize=1024)
 def ramification_set(D: QuaternionQ) -> RamificationSet:
-    """All places v with (a,b) nonsplit over Q_v."""
+    """All places v with (a,b) nonsplit over Q_v.
+
+    Memoized on the algebra's value, so ``embeds``, ``is_isomorphic`` and
+    ``distinguishing_field`` asking again about an equal algebra reuse one
+    set; a call that raises is not cached.
+    """
     ram = [v for v in candidate_places(D) if hilbert(D.a, D.b, v) == -1]
     return RamificationSet(tuple(ram))
 
@@ -156,30 +156,88 @@ def embeds(field: QuadraticField, D: QuaternionQ) -> bool:
 
 
 _SIEVE_BLOCK = 1 << 16
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_KEPT = bytes.maketrans(b"\x02\x03", b"\x01\x01")
 
 
-def _squarefree_candidates(limit: int):
+def _class_patterns(v: PlaceQ, square: bool) -> tuple[int, bytes, bytes]:
+    """(period, plus, minus) for the class of squares in Q_v, or of
+    nonsquares when ``square`` is false: byte r of plus (of minus) is 1 when
+    d = n (d = -n) lies in the class for every squarefree n = r modulo the
+    period. The period is 1 at the real place, 8 at 2 (a squarefree d is a
+    2-adic square iff d = 1 mod 8) and p at an odd prime (iff d is a nonzero
+    square mod p)."""
+    p = v.p
+    if p is None:
+        plus, minus = b"\x01", b"\x00"
+    elif p == 2:
+        plus, minus = (bytes(sign * r % 8 == 1 for r in range(8)) for sign in (1, -1))
+    else:
+        squares = bytearray(p)
+        for x in range(1, (p + 1) // 2):
+            squares[x * x % p] = 1
+        plus, minus = bytes(squares), bytes(squares[:1] + squares[:0:-1])
+    if not square:
+        plus, minus = plus.translate(_FLIP), minus.translate(_FLIP)
+    return len(plus), plus, minus
+
+
+def _squarefree_candidates(limit: int, wanted=()):
     """Squarefree d with |d| <= limit, ordered by |d|, positive before
-    negative, skipping 1 (none when limit < 1).
+    negative, skipping 1 (none when limit < 1), less those that the sieve
+    finds outside a wanted local class: ``wanted`` holds pairs (v, square),
+    asking for d to be a square in Q_v or a nonsquare there.
 
     A segmented sieve: each block [lo, hi) crosses out the multiples of q^2
     for 2 <= q <= sqrt(hi - 1). Blocks double in width up to 2^16, so an
     early witness costs a small block and memory stays bounded for any limit.
+    A wanted class at the real place, at 2, or at an odd prime below the
+    block width is a byte pattern periodic in n (``_class_patterns``), tiled
+    across the block and ANDed in as an integer, once for d = n and once for
+    d = -n. Classes at larger primes, and d = -1, are left to the caller's
+    exact tests.
     """
     if limit < 1:
         return
     yield -1
-    lo, width = 2, 64
+    pending = sorted(wanted, key=lambda item: item[0].p or 1, reverse=True)
+    patterns, tiles = [], []
+    lo, width, tiled = 2, 64, 0
     while lo <= limit:
         hi = min(lo + width, limit + 1)
-        free = bytearray(b"\x01") * (hi - lo)
+        size = hi - lo
+        free = bytearray(b"\x01") * size
         for q in range(2, isqrt(hi - 1) + 1):
             q2 = q * q
             start = -lo % q2
-            free[start::q2] = bytes(len(range(start, hi - lo, q2)))
-        for n in itertools.compress(range(lo, hi), free):
-            yield n
-            yield -n
+            free[start::q2] = bytes(len(range(start, size, q2)))
+        if tiled < width:
+            # widths only grow: each pattern is tiled once per width, as an
+            # int covering a block and one period, and shifted per block
+            while pending and (pending[-1][0].p or 1) < width:
+                patterns.append(_class_patterns(*pending.pop()))
+            tiles = []
+            for period, plus, minus in patterns:
+                reps = width // period + 2
+                plus, minus = plus * reps, minus * reps
+                tiles.append((period, int.from_bytes(plus, "little"), int.from_bytes(minus, "little")))
+            tiled = width
+        pos = neg = int.from_bytes(free, "little")
+        for period, plus, minus in tiles:
+            shift = 8 * (lo % period)
+            pos &= plus >> shift
+            neg &= minus >> shift
+        # byte i: bit 0 keeps d = lo + i, bit 1 keeps d = -(lo + i); found
+        # by bytes.find, as survivors are sparse once the classes bite
+        flags = (pos | neg << 1).to_bytes(size, "little")
+        kept = flags.translate(_KEPT)
+        i = kept.find(1)
+        while i >= 0:
+            if flags[i] & 1:
+                yield lo + i
+            if flags[i] & 2:
+                yield -(lo + i)
+            i = kept.find(1, i + 1)
         lo, width = hi, min(2 * width, _SIEVE_BLOCK)
 
 
@@ -193,7 +251,10 @@ def distinguishing_field(
     place v0 in the symmetric difference and searches squarefree d, ordered
     by |d| with positive first, that is a local square at v0 and a nonsquare
     at every ramified place of the other algebra; the result is re-verified
-    through ``embeds`` before being returned.
+    through ``embeds`` before being returned. The candidates come from a
+    sieve on these local classes (``_squarefree_candidates``); each survivor
+    is tested exactly here, so the sieve changes which d are tested, never
+    which one is returned.
     """
     r1, r2 = ramification_set(D1), ramification_set(D2)
     if r1.is_empty() or r2.is_empty():
@@ -203,7 +264,8 @@ def distinguishing_field(
     diff = sorted(set(r1.places) ^ set(r2.places))
     v0 = diff[0]
     other = r2 if v0 in r1 else r1
-    for d in _squarefree_candidates(max_witness):
+    wanted = [(v0, True)] + [(v, False) for v in other]
+    for d in _squarefree_candidates(max_witness, wanted):
         if not is_local_square(d, v0):
             continue
         if any(is_local_square(d, v) for v in other):
@@ -230,9 +292,13 @@ def enumerate_unramified(S) -> list[RamificationSet]:
         raise ValueError("S must contain the real place")
     if len(places) < 2:
         raise ValueError("S must contain at least two places")
-    make = RamificationSet._from_sorted  # combinations of a sorted list stay sorted
-    return [
-        make(combo)
-        for size in range(0, len(places) + 1, 2)
-        for combo in itertools.combinations(places, size)
-    ]
+    combos = list(
+        itertools.chain.from_iterable(
+            itertools.combinations(places, size) for size in range(0, len(places) + 1, 2)
+        )
+    )
+    # combinations of a sorted list stay sorted, so each class is built with
+    # C-level maps: a bare instance, then its slot set through the descriptor
+    classes = list(map(object.__new__, itertools.repeat(RamificationSet, len(combos))))
+    collections.deque(map(RamificationSet.places.__set__, classes, combos), maxlen=0)
+    return classes

@@ -344,6 +344,10 @@ class TestSievedScan:
 
 
 class TestSquarefreeCandidates:
+    @pytest.fixture(scope="class")
+    def to_1e5(self):
+        return list(self.by_factoring(10**5))
+
     @staticmethod
     def by_factoring(limit):
         """Reference definition: squarefree d by |d|, positive first."""
@@ -359,13 +363,49 @@ class TestSquarefreeCandidates:
                 self.by_factoring(limit)
             )
 
-    def test_block_edges(self):
-        ref = list(self.by_factoring(10**5))
+    def test_block_edges(self, to_1e5):
+        ref = to_1e5
         for limit in sorted({e + k for e in block_edges(10**5) for k in (-2, -1, 0, 1)}):
             if limit >= 1:
                 expected = [d for d in ref if abs(d) <= limit]
                 assert list(_squarefree_candidates(limit)) == expected
         assert list(_squarefree_candidates(10**5)) == ref
+
+    @pytest.mark.parametrize(
+        "wanted",
+        [
+            [(REAL_PLACE, True), (PlaceQ.finite(2), False), (PlaceQ.finite(3), False)],
+            [(PlaceQ.finite(2), True), (PlaceQ.finite(3), False), (PlaceQ.finite(7), False),
+             (PlaceQ.finite(11), False), (REAL_PLACE, False)],
+            [(PlaceQ.finite(5), True), (PlaceQ.finite(13), False), (PlaceQ.finite(67), False)],
+            [(PlaceQ.finite(3), True), (PlaceQ.finite(4099), False), (PlaceQ.finite(65521), True)],
+            [(PlaceQ.finite(2), True), (PlaceQ.finite(7), False), (PlaceQ.finite(65537), False)],
+        ],
+    )
+    def test_wanted_classes_at_block_edges(self, wanted, to_1e5):
+        # 67 is sieved from the block of width 128 on, 4099 from width 8192,
+        # 65521 from width 2^16; 65537 never is
+        def exact(d):
+            return all(is_local_square(d, v) == square for v, square in wanted)
+
+        every = to_1e5
+        full = list(_squarefree_candidates(10**5, wanted))
+        assert set(full) <= set(every) and len(set(full)) == len(full)
+        assert full == sorted(full, key=lambda d: (abs(d), d < 0))
+        assert [d for d in full if exact(d)] == [d for d in every if exact(d)]
+        # a cap cuts the last block short and changes nothing before it
+        for limit in sorted({e + k for e in block_edges(10**5) for k in (-1, 0, 1)}):
+            expected = [d for d in full if abs(d) <= limit]
+            assert list(_squarefree_candidates(limit, wanted)) == expected
+
+    def test_sieve_decides_places_below_the_block_width(self):
+        sieved = [(REAL_PLACE, False), (PlaceQ.finite(2), True), (PlaceQ.finite(3), False),
+                  (PlaceQ.finite(61), True)]
+        got = list(_squarefree_candidates(10**5, sieved + [(PlaceQ.finite(65537), False)]))
+        assert got[0] == -1 and len(got) > 100
+        assert all(is_local_square(d, v) == square for d in got[1:] for v, square in sieved)
+        # 65537 is left to the caller's exact test
+        assert any(is_local_square(d, PlaceQ.finite(65537)) for d in got)
 
 
 class TestEnumerateUnramified:
