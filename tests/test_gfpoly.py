@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -293,6 +294,22 @@ class TestFactorAgainstSympy:
                 assert h.derivative().is_zero()
                 assert poly_factor_fp(h) == sympy_factors(h), (p, h.coeffs)
 
+    def test_multiplicities_around_the_characteristic(self):
+        # multiplicities below p, equal to p, divisible by p and above p meet
+        # in one input: those prime to p are read off gcd(f, f'), the others
+        # go round again as the p-th root of what that gcd leaves
+        rng = random.Random(59)
+        for p in (2, 3, 5, 7):
+            for trial in range(25):
+                count = rng.randint(1, 3)
+                mults = [1, p, 2 * p] if trial == 0 else [rng.randint(1, 2 * p + 1) for _ in range(count)]
+                f = PolyFp.constant(p, rng.randrange(1, p))
+                for e in mults:
+                    g = random_of_degree(rng, p, rng.randint(1, 2))
+                    for _ in range(e):
+                        f = f * g
+                assert poly_factor_fp(f) == sympy_factors(f), (p, mults, f.coeffs)
+
 
 class TestIrreducibility:
     def test_against_bruteforce(self):
@@ -332,6 +349,19 @@ class TestIrreducibility:
                     expected = factored_irreducible(f)
                     assert is_irreducible_fp(f) == expected
                     seen[expected] += 1
+
+    def test_degree_64_at_large_p_at_once(self):
+        # a fixed degree-64 irreducible over F_10007 (seed 29, confirmed by
+        # the factorizer), and it times x + 3, are each decided in one
+        # distinct-degree pass
+        p = 10007
+        rng = random.Random(29)
+        f = PolyFp(p, tuple(rng.randrange(p) for _ in range(64)) + (1,))
+        assert factored_irreducible(f)
+        for poly, expected in ((f, True), (f * PolyFp.of(p, (3, 1)), False)):
+            start = time.perf_counter()
+            assert is_irreducible_fp(poly) is expected
+            assert time.perf_counter() - start < 0.5
 
     def test_counts(self):
         # Gauss: #monic irreducibles of degree n over F_p is

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -244,6 +245,25 @@ class TestOracle:
                     assert got == hilbert(a, b, v), (a, b, p)
                     seen.add(got)
             assert seen == {1, -1}
+
+
+    def test_agreement_with_both_entries_divisible_by_p(self):
+        # (p a', p b') for every pair of units a', b' of either sign up to 4p
+        for p in (2, 3, 5, 7):
+            v = PlaceQ.finite(p)
+            units = [s * u for u in range(1, 4 * p + 1) if u % p for s in (1, -1)]
+            for ua in units:
+                for ub in units:
+                    a, b = p * ua, p * ub
+                    assert hilbert_oracle(a, b, p) == hilbert(a, b, v), (a, b, p)
+
+    @pytest.mark.parametrize("a, b, p", [(3 * 79, 5 * 79, 79), (2 * 151, 3 * 151, 151), (151, 151, 151)])
+    def test_both_entries_divisible_by_p_at_once(self, a, b, p):
+        _oracle_search.cache_clear()
+        start = time.perf_counter()
+        got = hilbert_oracle(a, b, p)
+        assert time.perf_counter() - start < 0.5
+        assert got == hilbert(a, b, PlaceQ.finite(p))
 
 
 class TestInvariant:
