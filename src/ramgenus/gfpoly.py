@@ -16,16 +16,18 @@ their results with the trusted ``PolyFp._make``.
 its own gcd and inverse, and PolyFp overrides what the int-list kernel runs
 faster.
 
-``poly_factor_fp`` runs all three stages on int lists and builds a PolyFp
-only for each irreducible it returns. Per squarefree part it builds one
-Frobenius table of x^(i p) mod f (``_frobenius``), which the distinct-degree
-and the equal-degree stage both apply.
+``poly_factor_fp`` takes the route ``qpoly.factor_q`` takes: it factors the
+squarefree part f / gcd(f, f') and reads multiplicities off that gcd, and
+what the gcd leaves, a p-th power, goes round again as its p-th root. It
+runs on int lists and builds a PolyFp only for each irreducible it returns.
+Per squarefree part it builds one Frobenius table of x^(i p) mod f
+(``_frobenius``), which the distinct-degree and the equal-degree stage both
+apply. The distinct-degree stage alone (``_squarefree_ddf``) decides
+``is_irreducible_fp`` and gives ``qpoly`` its factor degrees mod p.
 
 Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
 by Euclid (``_norm``), whenever the class-group order divides p - 1; every
-n = 2 test does. For odd p, ``is_irreducible_fp`` rejects most reducible
-polynomials by the Legendre symbol of the discriminant (Stickelberger)
-before Ben-Or's test.
+n = 2 test does.
 """
 
 from __future__ import annotations
@@ -148,6 +150,10 @@ def _norm(f: list[int], g, p: int) -> int:
         inv = pow(c, -1, p)
         f, g = [x * inv % p for x in r], f
     return out
+
+
+def _derivative(a, p: int) -> list[int]:
+    return _trim([i * c % p for i, c in enumerate(a) if i])
 
 
 def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
@@ -335,8 +341,7 @@ class PolyFp(_Poly):
         return PolyFp._make(p, _inv_mod(self.coeffs, _monic(modulus.coeffs, p), p))
 
     def derivative(self) -> "PolyFp":
-        p = self.p
-        return PolyFp._make(p, _trim([i * c % p for i, c in enumerate(self.coeffs) if i]))
+        return PolyFp._make(self.p, _derivative(self.coeffs, self.p))
 
     def evaluate(self, x0: int) -> int:
         acc = 0
@@ -407,37 +412,6 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
 # -- factorization over F_p ---------------------------------------------------
 
 
-def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Monic squarefree decomposition [(g_i, m_i)] of a monic f, with
-    f = prod g_i^{m_i}, correct in characteristic p (handles f' = 0 via the
-    Frobenius identity a^p = a on F_p)."""
-    out: list[tuple[list[int], int]] = []
-
-    def rec(g: list[int], mult: int) -> None:
-        if len(g) < 2:
-            return
-        d = _trim([i * c % p for i, c in enumerate(g) if i])
-        if not d:
-            # g(x) = h(x^p) = h(x)^p, and h is monic
-            rec(g[::p], mult * p)
-            return
-        c = _gcd(g, d, p)
-        w = _divmod_monic(g, c, p)[0]
-        i = 1
-        while len(w) > 1:
-            y = _gcd(w, c, p)
-            z = _divmod_monic(w, y, p)[0]
-            if len(z) > 1:
-                out.append((z, mult * i))
-            w = y
-            c = _divmod_monic(c, y, p)[0]
-            i += 1
-        rec(c, mult)
-
-    rec(f, 1)
-    return out
-
-
 def _frobenius(f: list[int], p: int):
     """h -> h^p mod f, for a monic f of degree n >= 2 and deg h < n: Frobenius
     is F_p-linear, so it is applied from the table x^(i p) mod f, i < n (von
@@ -451,9 +425,11 @@ def _frobenius(f: list[int], p: int):
     return lambda h: _trim([sum(map(mul, h, col)) % p for col in cols])
 
 
-def _distinct_degree(f: list[int], frob, p: int) -> list[tuple[list[int], int]]:
-    """Split a monic squarefree f into [(product of irreducibles of degree d, d)],
-    with ``frob`` the Frobenius of F_p[x]/(f)."""
+def _distinct_degree(f: list[int], p: int):
+    """(frob, [(product of the irreducibles of degree d, d)]) for a monic
+    squarefree f, with ``frob`` the Frobenius of F_p[x]/(f); f of degree
+    below 2 needs none (None), and a constant f has no parts."""
+    frob = _frobenius(f, p) if len(f) > 2 else None
     out = []
     h, g, d = [0, 1], f, 0
     while len(g) - 1 >= 2 * (d + 1):
@@ -465,7 +441,7 @@ def _distinct_degree(f: list[int], frob, p: int) -> list[tuple[list[int], int]]:
             g = _divmod_monic(g, part, p)[0]
     if len(g) > 1:
         out.append((g, len(g) - 1))
-    return out
+    return frob, out
 
 
 def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) -> list[list[int]]:
@@ -498,8 +474,15 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """Factor a nonzero polynomial over F_p into monic irreducibles.
 
     Returns [(monic irreducible, multiplicity)] sorted by (degree, coeffs);
-    the product times f's leading coefficient reconstructs f. All three
-    stages run on int lists; a PolyFp is built for each irreducible only.
+    the product times f's leading coefficient reconstructs f. The route is
+    ``factor_q``'s: the squarefree part rest / g of the monic rest,
+    g = gcd(rest, rest'), is split by the distinct-degree and the
+    equal-degree stage, and each irreducible's multiplicity is one more
+    than the number of times it divides g. What is left of g then has only
+    multiplicities divisible by p, so it is h(x^p) = h^p; its root h goes
+    round the same loop with the multiplicities multiplied by p (von zur
+    Gathen-Gerhard, ch. 14). All of it runs on int lists; a PolyFp is built
+    for each irreducible only.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
@@ -509,10 +492,17 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     # seeded per input so results are reproducible run to run
     rng = random.Random(("gfpoly", p, f.coeffs).__repr__())
     out: list[tuple[PolyFp, int]] = []
-    for g, mult in _squarefree_decomposition(_monic(f.coeffs, p), p):
-        frob = _frobenius(g, p) if len(g) > 2 else None  # a linear g needs none
-        for prod, d in _distinct_degree(g, frob, p):
-            out += [(PolyFp._make(p, u), mult) for u in _equal_degree_split(prod, d, frob, p, rng)]
+    rest, scale = _monic(f.coeffs, p), 1
+    while len(rest) > 1:
+        g = _gcd(rest, _derivative(rest, p), p)
+        frob, parts = _distinct_degree(_divmod_monic(rest, g, p)[0], p)
+        for prod, d in parts:
+            for u in _equal_degree_split(prod, d, frob, p, rng):
+                mult, (q, r) = scale, _divmod_monic(g, u, p)
+                while not r:
+                    g, mult, (q, r) = q, mult + scale, _divmod_monic(q, u, p)
+                out.append((PolyFp._make(p, u), mult))
+        rest, scale = g[::p], scale * p
     out.sort(key=lambda t: t[0].sort_key())
     return out
 
@@ -520,48 +510,20 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
 def _squarefree_ddf(f, p: int):
     """(frob, [(product of the irreducibles of degree d, d)]) for f mod p,
     f an integer polynomial whose leading coefficient p does not divide, or
-    None when f is not squarefree mod p: distinct-degree factorization
-    alone, no splitting; ``frob`` is the Frobenius modulo f (None for a
-    linear f)."""
+    None when f is not squarefree mod p: the distinct-degree stage alone,
+    no splitting; ``frob`` is the Frobenius modulo f (None for a linear f)."""
     m = _monic([c % p for c in f], p)
-    if len(_gcd(m, _trim([i * c % p for i, c in enumerate(m) if i]), p)) > 1:
+    if len(_gcd(m, _derivative(m, p), p)) > 1:
         return None
-    if len(m) == 2:
-        return None, [(m, 1)]
-    frob = _frobenius(m, p)
-    return frob, _distinct_degree(m, frob, p)
+    return _distinct_degree(m, p)
 
 
 def is_irreducible_fp(f: PolyFp) -> bool:
-    """Ben-Or's irreducibility test for a nonconstant polynomial over F_p,
-    behind a discriminant pre-filter for odd p.
-
-    Stickelberger (Swan 1962): a squarefree f of degree n over F_p, p odd,
-    with r irreducible factors has (disc f / p) = (-1)^(n - r). So an
-    irreducible f has a nonzero discriminant whose Legendre symbol is
-    (-1)^(n-1); any other f is rejected after one resultant,
-    disc f = (-1)^(n(n-1)/2) Res(f, f') for monic f. The filter only
-    rejects. What it lets through goes to Ben-Or: a reducible f of degree n
-    has an irreducible factor of some degree i <= n/2, which divides
-    x^(p^i) - x; so f is irreducible exactly when gcd(x^(p^i) - x, f) = 1
-    for i = 1 .. n/2. The test stops at the first nontrivial gcd.
-    """
-    n = f.degree
-    if n < 1:
+    """Is a nonconstant f irreducible over F_p?  Decided by the first stage
+    of ``poly_factor_fp``, as ``is_irreducible_q`` reads ``factor_q``: f is
+    irreducible exactly when it is squarefree and its distinct-degree
+    factorization is one part of degree deg f."""
+    if f.degree < 1:
         return False
-    if n == 1:
-        return True
-    p = f.p
-    m = _monic(f.coeffs, p)
-    if p != 2:
-        disc = _norm(m, [i * c for i, c in enumerate(m) if i], p)
-        if n * (n - 1) // 2 % 2:
-            disc = -disc % p
-        if disc == 0 or pow(disc, (p - 1) // 2, p) != (1 if n % 2 else p - 1):
-            return False
-    h = [0, 1]
-    for _ in range(n // 2):
-        h = _pow_mod(h, p, m, p)
-        if len(_gcd(m, _add_mod(h, [0, 1], p, -1), p)) > 1:
-            return False
-    return True
+    ddf = _squarefree_ddf(f.coeffs, f.p)
+    return ddf is not None and ddf[1][0][1] == f.degree

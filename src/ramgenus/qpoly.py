@@ -460,9 +460,10 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
 
     constant * prod(factor^mult) == f exactly; the constant is lc(f) and the
     factors are sorted by (degree, coefficients). Powers of x are split off
-    first; ``_factor_squarefree`` factors the squarefree part
-    rest / gcd(rest, rest') of the rest, and each irreducible's multiplicity
-    is the number of times it divides rest.
+    first; ``_factor_squarefree`` factors the squarefree part rest / g of
+    the rest, g = gcd(rest, rest'), and each irreducible's multiplicity is
+    one more than the number of times it divides g. ``gfpoly.poly_factor_fp``
+    takes the same route.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
@@ -473,12 +474,12 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     rest = list(ints[shift:])
     found: list[tuple[list[int], int]] = [([0, 1], shift)] if shift else []
     if len(rest) > 1:
-        core = _exact_quotient(rest, _gcd_z(rest, [i * c for i, c in enumerate(rest) if i]))
-        for g in _factor_squarefree(core):
-            mult, q = 0, _exact_quotient(rest, g)
+        g = _gcd_z(rest, [i * c for i, c in enumerate(rest) if i])
+        for u in _factor_squarefree(_exact_quotient(rest, g)):
+            mult, q = 1, _exact_quotient(g, u)
             while q is not None:
-                rest, mult, q = q, mult + 1, _exact_quotient(q, g)
-            found.append((g, mult))
+                g, mult, q = q, mult + 1, _exact_quotient(q, u)
+            found.append((u, mult))
     out = [(PolyQ._make(Fraction(c, g[-1]) for c in g), mult) for g, mult in found]
     out.sort(key=lambda t: t[0].sort_key())
     return f.leading(), out

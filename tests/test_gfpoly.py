@@ -279,8 +279,8 @@ class TestFactorAgainstSympy:
         assert poly_factor_fp(f) == sympy_factors(f) == [(g, 1) for g in quartics]
 
     def test_frobenius_images_times_pth_powers(self):
-        # f(x^p) * g^p has derivative 0, so the squarefree decomposition takes
-        # the p-th-root path, more than once when f(x^p) is itself a p-th power
+        # f(x^p) * g^p has derivative 0, so all of it goes round as its p-th
+        # root, more than once when f(x^p) is itself a p-th power
         rng = random.Random(53)
         for p, max_deg in ((2, 3), (3, 2)):
             for _ in range(40):
@@ -323,7 +323,8 @@ class TestIrreducibility:
 
     def test_products_of_two_half_degree_irreducibles(self):
         # g^2 and g*h with g, h irreducible of degree n/2 have no factor of
-        # lower degree, so only the last gcd of the test can reject them
+        # lower degree: g^2 is rejected as not squarefree, g*h by its one
+        # distinct-degree part, of degree n/2
         rng = random.Random(31)
         for p, n in ((2, 4), (3, 4), (5, 4), (2, 6), (3, 6)):
             half = [f for f in irreducible_monics(p, n // 2) if f.degree == n // 2]
@@ -337,8 +338,8 @@ class TestIrreducibility:
                         assert not is_irreducible_fp(poly)
 
     def test_against_factorization_at_large_p(self):
-        # p = 10007 is 3 mod 4, so -1 is a nonsquare and the sign
-        # (-1)^(n(n-1)/2) of the discriminant decides degrees 2, 3, 6, 7, 10;
+        # the distinct-degree pass at primes where the Frobenius table starts
+        # from a power x^p of many bits, against the full factorization;
         # both verdicts occur at every degree
         rng = random.Random(37)
         for p in (101, 10007):
