@@ -238,6 +238,14 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 # congruent mod p (mod 8 for p = 2) differ by a square of Z_p -- that is the
 # same one-variable Newton iteration the search itself applies to z^2 - u --
 # so unit representatives are reduced that far for memoization.
+#
+# Entries p a', p b' that are both divisible by p would leave p + 1 triples
+# with z = 0 in the level-2 frontier, each lifted over p^2 pairs. There
+# z^2 = p a' x^2 + p b' y^2 forces z = p z'; dividing by p and multiplying
+# by a' gives (a' x)^2 = -a' b' y^2 + p a' z'^2, whose nontrivial solutions
+# are in bijection with the first. So the search runs on (-a' b', p a')
+# instead. That is a change of variables, not a symbol identity, so the
+# oracle stays independent of ``hilbert``.
 
 
 def _hensel_accepts(
@@ -319,10 +327,11 @@ _ORACLE_PRIMES: set[int] = set()
 def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
     """Brute-force Hilbert symbol over Q_p, p = 2 included.
 
-    Drops even powers of p from both entries, then searches for primitive
-    solutions of z^2 = a x^2 + b y^2 modulo p^k, k = 5 (odd p) or 8 (p = 2),
-    accepting via the nonsingular Hensel criterion. The reduced entries have
-    valuation 0 or 1, so entries of any valuation are accepted.
+    Drops even powers of p from both entries, writes (p a', p b') as
+    (-a' b', p a') by the substitution z = p z', then searches for
+    primitive solutions of z^2 = a x^2 + b y^2 modulo p^k, k = 5 (odd p) or
+    8 (p = 2), accepting via the nonsingular Hensel criterion. The reduced
+    entries have valuation 0 or 1, so entries of any valuation are accepted.
     """
     an, ad = _num_den(a)
     bn, bd = _num_den(b)
@@ -334,5 +343,8 @@ def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
         _ORACLE_PRIMES.add(p)
     va, ua = _local_split(an, ad, p)
     vb, ub = _local_split(bn, bd, p)
+    va, vb = va % 2, vb % 2
+    if va and vb:  # (p a', p b') -> (-a' b', p a'), see above
+        va, ua, ub = 0, -ua * ub, ua
     m = 8 if p == 2 else p  # units congruent mod m share a square class
-    return _oracle_search(p, va % 2, ua % m, vb % 2, ub % m)
+    return _oracle_search(p, va, ua % m, vb, ub % m)
