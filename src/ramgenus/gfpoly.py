@@ -16,14 +16,11 @@ their results with the trusted ``PolyFp._make``.
 its own gcd and inverse, and PolyFp overrides what the int-list kernel runs
 faster.
 
-``poly_factor_fp`` takes the route ``qpoly.factor_q`` takes: it factors the
-squarefree part f / gcd(f, f') and reads multiplicities off that gcd, and
-what the gcd leaves, a p-th power, goes round again as its p-th root. It
-runs on int lists and builds a PolyFp only for each irreducible it returns.
-Per squarefree part it builds one Frobenius table of x^(i p) mod f
-(``_frobenius``), which the distinct-degree and the equal-degree stage both
-apply. The distinct-degree stage alone (``_squarefree_ddf``) decides
-``is_irreducible_fp`` and gives ``qpoly`` its factor degrees mod p.
+``poly_factor_fp`` takes ``qpoly.factor_q``'s route on int lists and builds
+a PolyFp only for each irreducible it returns. Per squarefree part one
+Frobenius table of x^(i p) mod f (``_frobenius``) serves the distinct-degree
+stage, which alone decides ``is_irreducible_fp`` (``_squarefree_ddf``), and
+the equal-degree stage.
 
 Power-class tests in F_p[x]/(pi) reduce to F_p through the norm, a resultant
 by Euclid (``_norm``), whenever the class-group order divides p - 1; every
@@ -474,15 +471,11 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """Factor a nonzero polynomial over F_p into monic irreducibles.
 
     Returns [(monic irreducible, multiplicity)] sorted by (degree, coeffs);
-    the product times f's leading coefficient reconstructs f. The route is
-    ``factor_q``'s: the squarefree part rest / g of the monic rest,
-    g = gcd(rest, rest'), is split by the distinct-degree and the
-    equal-degree stage, and each irreducible's multiplicity is one more
-    than the number of times it divides g. What is left of g then has only
-    multiplicities divisible by p, so it is h(x^p) = h^p; its root h goes
-    round the same loop with the multiplicities multiplied by p (von zur
-    Gathen-Gerhard, ch. 14). All of it runs on int lists; a PolyFp is built
-    for each irreducible only.
+    the product times f's leading coefficient reconstructs f. As in
+    ``factor_q``, the squarefree part rest / g, g = gcd(rest, rest'), is
+    factored, and each irreducible's multiplicity is one more than the
+    number of times it divides g. What is left of g is then h(x^p) = h^p,
+    and its root h goes round again with the multiplicities multiplied by p.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")

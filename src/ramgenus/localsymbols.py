@@ -239,13 +239,12 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 # same one-variable Newton iteration the search itself applies to z^2 - u --
 # so unit representatives are reduced that far for memoization.
 #
-# Entries p a', p b' that are both divisible by p would leave p + 1 triples
-# with z = 0 in the level-2 frontier, each lifted over p^2 pairs. There
-# z^2 = p a' x^2 + p b' y^2 forces z = p z'; dividing by p and multiplying
-# by a' gives (a' x)^2 = -a' b' y^2 + p a' z'^2, whose nontrivial solutions
-# are in bijection with the first. So the search runs on (-a' b', p a')
-# instead. That is a change of variables, not a symbol identity, so the
-# oracle stays independent of ``hilbert``.
+# With both entries divisible by p, z^2 = p a' x^2 + p b' y^2 forces
+# z = p z'; dividing by p and multiplying by a' gives (a' x)^2 =
+# -a' b' y^2 + p a' z'^2, with nontrivial solutions in bijection. So the
+# search runs on (-a' b', p a') and never lifts the p + 1 triples with z = 0.
+# That is a change of variables, not a symbol identity: the oracle stays
+# independent of ``hilbert``.
 
 
 def _hensel_accepts(
@@ -343,8 +342,7 @@ def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
         _ORACLE_PRIMES.add(p)
     va, ua = _local_split(an, ad, p)
     vb, ub = _local_split(bn, bd, p)
-    va, vb = va % 2, vb % 2
-    if va and vb:  # (p a', p b') -> (-a' b', p a'), see above
+    if va % 2 and vb % 2:  # (p a', p b') -> (-a' b', p a'), see above
         va, ua, ub = 0, -ua * ub, ua
     m = 8 if p == 2 else p  # units congruent mod m share a square class
-    return _oracle_search(p, va, ua % m, vb, ub % m)
+    return _oracle_search(p, va % 2, ua % m, vb % 2, ub % m)

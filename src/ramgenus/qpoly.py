@@ -462,8 +462,7 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     factors are sorted by (degree, coefficients). Powers of x are split off
     first; ``_factor_squarefree`` factors the squarefree part rest / g of
     the rest, g = gcd(rest, rest'), and each irreducible's multiplicity is
-    one more than the number of times it divides g. ``gfpoly.poly_factor_fp``
-    takes the same route.
+    one more than the number of times it divides g, as in ``poly_factor_fp``.
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
