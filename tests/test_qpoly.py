@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -67,6 +68,121 @@ class TestArithmetic:
         content, ints = f.integer_model()
         assert ints == (2, 3)
         assert content == Fraction(1, 4)
+
+
+def fraction_add(f: PolyQ, g: PolyQ) -> PolyQ:
+    """The reference: coefficientwise Fraction addition."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    a = f.coeffs + (Fraction(0),) * (n - len(f.coeffs))
+    b = g.coeffs + (Fraction(0),) * (n - len(g.coeffs))
+    return PolyQ(tuple(x + y for x, y in zip(a, b)))
+
+
+def fraction_mul(f: PolyQ, g: PolyQ) -> PolyQ:
+    """The reference: the schoolbook product on Fraction coefficients."""
+    out = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return PolyQ(tuple(out))
+
+
+def fraction_divmod(f: PolyQ, g: PolyQ) -> tuple[PolyQ, PolyQ]:
+    """The reference: long division on Fraction coefficients."""
+    rem = list(f.coeffs)
+    inv = 1 / g.leading()
+    dq = g.degree
+    q = [Fraction(0)] * max(len(rem) - dq, 0)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i] * inv
+        if c:
+            q[i - dq] = c
+            for j, b in enumerate(g.coeffs):
+                rem[i - dq + j] -= c * b
+    return PolyQ(tuple(q)), PolyQ(tuple(rem[:dq]))
+
+
+def assert_model(f: PolyQ) -> None:
+    """f's integer model (content, primitive) is f: content * primitive ==
+    coeffs, the primitive part is primitive with a positive leading
+    coefficient, and the content is 0 exactly for the zero polynomial."""
+    content, prim = f.integer_model()
+    assert all(type(c) is Fraction for c in f.coeffs), repr(f)
+    assert all(type(c) is int for c in prim), repr(f)
+    assert tuple(content * c for c in prim) == f.coeffs, repr(f)
+    assert (content == 0) == f.is_zero() == (prim == ())
+    if prim:
+        assert prim[-1] > 0 and math.gcd(*prim) == 1, repr(f)
+
+
+def random_operand(rng) -> PolyQ:
+    """Zero, a constant, or a polynomial of degree up to 6 whose leading
+    coefficient may be negative or have a denominator."""
+    kind = rng.random()
+    if kind < 0.1:
+        return PolyQ(())
+    if kind < 0.25:
+        return PolyQ.constant(Fraction(rng.choice([-7, -1, 1, 3]), rng.randint(1, 5)))
+    return random_polyq(rng, 6)
+
+
+class TestModelArithmetic:
+    """Ring operations against the Fraction reference, and the integer model
+    of every result."""
+
+    def test_against_fraction_reference(self):
+        rng = random.Random(1969)
+        for _ in range(400):
+            f, g = random_operand(rng), random_operand(rng)
+            for got, want in (
+                (f + g, fraction_add(f, g)),
+                (f - g, fraction_add(f, PolyQ(tuple(-c for c in g.coeffs)))),
+                (f * g, fraction_mul(f, g)),
+            ):
+                assert got == want, (str(f), str(g))
+                assert_model(got)
+            if not g.is_zero():
+                q, r = divmod(f, g)
+                assert (q, r) == fraction_divmod(f, g), (str(f), str(g))
+                assert_model(q)
+                assert_model(r)
+
+    def test_models_of_derived_polynomials(self):
+        rng = random.Random(1970)
+        for _ in range(100):
+            f, g = random_operand(rng), random_operand(rng)
+            results = [f, -f, f.scale(Fraction(-2, 3)), f.scale(0), f.derivative(),
+                       f.reverse(), f.monic(), f.gcd(g)]
+            if f.degree > 0:
+                results += [g % f, g.pow_mod(3, f)]
+                results += [u for u, _ in factor_q(f)[1]]
+            for h in results:
+                assert_model(h)
+
+    def test_model_of_public_constructor(self):
+        for coeffs in ((), (0,), (0, 0), (Fraction(-3, 4),), (1, 2, 0),
+                       (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), -2)):
+            assert_model(PolyQ(tuple(Fraction(c) for c in coeffs)))
+            assert_model(PolyQ.of(coeffs))
+
+    def test_value_does_not_depend_on_construction(self):
+        import pickle
+
+        built = [
+            (PolyQ.of([1, 2]) * PolyQ.constant(2), PolyQ.of([2, 4, 0])),
+            (PolyQ.of([Fraction(1, 3), 1]) + PolyQ.of([Fraction(2, 3), -1]), PolyQ.constant(1)),
+            (PolyQ.of([1, 1]) - PolyQ.of([1, 1]), PolyQ(())),
+            (divmod(PolyQ.of([-1, 0, 2]), PolyQ.of([1, 2]))[0], PolyQ.of([Fraction(-1, 2), 1])),
+            (PolyQ.of([3, 6, 9]).monic(), PolyQ.of([Fraction(1, 3), Fraction(2, 3), 1])),
+            (PolyQ.of([0, 4, 0, 2]).derivative(), PolyQ.of([4, 0, 6])),
+        ]
+        for a, b in built:
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) and str(a) == str(b)
+            assert pickle.dumps(a) == pickle.dumps(b)
+            c = pickle.loads(pickle.dumps(a))
+            assert c == b and repr(c) == repr(b)
+            assert c.integer_model() == b.integer_model() == a.integer_model()
 
 
 def euclid_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
