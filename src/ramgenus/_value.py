@@ -10,8 +10,8 @@ class Value:
 
     A subclass ``__init__`` validates and normalises its arguments, then sets
     each field once with ``object.__setattr__``; assigning or deleting a field
-    afterwards raises ``AttributeError``.
-    """
+    afterwards raises ``AttributeError``. A slot named with a leading ``_`` is
+    derived: it takes no part in equality, hashing, the repr or pickling."""
 
     __slots__ = ()
 
@@ -19,9 +19,10 @@ class Value:
         super().__init_subclass__(**kwargs)
         if not cls.__slots__:
             return
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         # one C-level getter per class, held in a closure rather than looked
         # up on the instance: dict and set keys compare and hash in hot loops
-        fields = attrgetter(*cls.__slots__)
+        fields = attrgetter(*cls._fields)
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -34,11 +35,11 @@ class Value:
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")

@@ -193,7 +193,9 @@ def factor(n: int) -> PrimeFactorization:
 
 
 def valuation(a: Fraction | int, p: int) -> int:
-    """p-adic valuation v_p(a) for nonzero rational a."""
+    """p-adic valuation v_p(a) for nonzero rational a and a prime p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     a = Fraction(a)
     if a == 0:
         raise ZeroValuationError("v_p(0) is +infinity")

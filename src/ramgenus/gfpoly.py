@@ -6,15 +6,15 @@ immutable; every operation returns a fresh polynomial.
 
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``_add_mod``, ``_divmod_monic``, the monic ``_gcd``, the inverse
-``_inv_mod``; ``qpoly``'s Hensel lifting and its set-up share them), reduced
-once per product. Only the public constructors (``PolyFp(...)``, ``of``,
+``_inv_mod``; ``qpoly``'s products, Hensel lifting and inverse share them),
+reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
 ``constant``, ``x``) check p and reduce coefficients; ring operations build
 their results with the trusted ``PolyFp._make``.
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, ``monic``,
-``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi); each has
-its own gcd and inverse, and PolyFp overrides what the int-list kernel runs
-faster.
+``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi). Each runs
+its ring operations, gcd and inverse on ints, PolyFp on residues mod p and
+PolyQ on its stored integer model; PolyFp overrides ``pow_mod``.
 
 ``poly_factor_fp`` takes ``qpoly.factor_q``'s route on int lists and builds
 a PolyFp only for each irreducible it returns. Per squarefree part one
@@ -169,9 +169,9 @@ def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
 class _Poly(Value):
     """What a dense polynomial over a field k does independently of k:
     ``coeffs`` ascending with trailing zeros stripped, structure, ``monic``,
-    ``pow_mod`` and printing. A subclass supplies ``gcd``, ``_like(coeffs)``
-    (a polynomial over the same field), ``_inv(c)`` (a scalar inverse) and
-    ``_inverse(modulus)`` (the inverse in k[x]/(modulus))."""
+    ``pow_mod`` and printing. A subclass supplies its ring operations (on
+    residues mod p, or on PolyQ's integer model), ``gcd``, ``_like(coeffs)``
+    (a polynomial over the same field), ``_inv(c)`` and ``_inverse(modulus)``."""
 
     __slots__ = ()
 

@@ -1,12 +1,14 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
-``PolyQ`` stores Fraction coefficients ascending with trailing zeros
-stripped; its ring operations build their results with the trusted
-``PolyQ._make``, and structure, ``pow_mod`` and printing come from
-``gfpoly._Poly``, which PolyQ shares with PolyFp. Everything heavier works
-in Z[x] on int lists. The gcd settles coprime pairs modulo one prime and
-runs a primitive remainder sequence otherwise (``_gcd_z``), the resultant
-is the subresultant algorithm (``_resultant_z``), and factorization follows
+``PolyQ`` keeps its Fraction coefficients beside its integer model, a
+content times a primitive integer polynomial, and runs every ring operation
+on that model: sums over a common denominator, products of the primitive
+parts (primitive by Gauss's lemma), division by the one pseudo-division in
+Z[x] (``_pdivmod``); results are built by the trusted ``PolyQ._make``.
+Structure, ``pow_mod`` and printing come from ``gfpoly._Poly``, shared with
+PolyFp. The gcd settles coprime pairs modulo one prime and runs a primitive
+remainder sequence otherwise (``_gcd_z``), the resultant is the
+subresultant algorithm (``_resultant_z``), and factorization follows
 Zassenhaus (1969; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15):
 the squarefree part f / gcd(f, f'), factor degrees modulo up to three small
 primes by distinct-degree factorization, equal-degree splitting of those
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import comb, isqrt, lcm
 from math import gcd as int_gcd
 from operator import mul
@@ -39,26 +41,29 @@ from .gfpoly import (
     _mul_mod, _Poly, _pow_mod, _squarefree_ddf, _trim,
 )
 
-_ZERO = Fraction(0)
-
-
 class PolyQ(_Poly):
-    """A polynomial over Q: Fraction coefficients ascending, normalized."""
+    """A polynomial over Q: ``coeffs`` Fractions ascending, normalized, and
+    the derived ``_model``, its integer model, on which ring operations run."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_model")
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
         cs = tuple(Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
+        den = lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in cs]
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_model", _model_of(ints, Fraction(1, den)))
 
     @classmethod
-    def _make(cls, coeffs) -> "PolyQ":
-        """Trusted constructor for kernel results: the coefficients are
-        Fractions and trailing zeros are already stripped."""
+    def _make(cls, ints, scale: Fraction) -> "PolyQ":
+        """Trusted constructor for kernel results: scale * ints, for any int list."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(coeffs))
+        content, prim = model = _model_of(_trim(list(ints)), scale)
+        n, d = content.numerator, content.denominator
+        object.__setattr__(poly, "coeffs", tuple(Fraction(n * c, d) for c in prim))
+        object.__setattr__(poly, "_model", model)
         return poly
 
     def _like(self, coeffs) -> "PolyQ":
@@ -69,8 +74,8 @@ class PolyQ(_Poly):
 
     def gcd(self, other: "PolyQ") -> "PolyQ":
         """The monic gcd, from the primitive gcd of the integer models."""
-        g = _gcd_z(self.integer_model()[1], other.integer_model()[1])
-        return PolyQ._make(Fraction(c, g[-1]) for c in g)
+        g = _gcd_z(self._model[1], other._model[1])
+        return PolyQ._make(g, Fraction(1, g[-1]) if g else Fraction(0))
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
@@ -88,42 +93,36 @@ class PolyQ(_Poly):
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (_ZERO,) * (n - len(self.coeffs))
-        b = other.coeffs + (_ZERO,) * (n - len(other.coeffs))
-        return PolyQ._make(_trim([x + y for x, y in zip(a, b)]))
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ._make(-c for c in self.coeffs)
+        """The sum over the common denominator of the contents."""
+        (ca, A), (cb, B) = self._model, other._model
+        den = lcm(ca.denominator, cb.denominator)
+        sa, sb = (c.numerator * (den // c.denominator) for c in (ca, cb))
+        ints = [sa * a + sb * b for a, b in zip_longest(A, B, fillvalue=0)]
+        return PolyQ._make(ints, Fraction(1, den))
 
     def __sub__(self, other: "PolyQ") -> "PolyQ":
         return self + (-other)
 
+    def __neg__(self) -> "PolyQ":
+        return self.scale(-1)
+
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        # _mul leaves an int 0 where no product lands
-        return PolyQ._make(c or _ZERO for c in _mul(self.coeffs, other.coeffs))
+        (ca, A), (cb, B) = self._model, other._model
+        return PolyQ._make(_mul(A, B), ca * cb)
 
     def scale(self, c) -> "PolyQ":
-        c = Fraction(c)
-        return PolyQ._make(a * c for a in self.coeffs) if c else PolyQ._make(())
+        return PolyQ._make(self._model[1], self._model[0] * Fraction(c))
 
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        inv = 1 / other.leading()
-        dq = other.degree
-        q = [_ZERO] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i] * inv
-            if c:
-                q[i - dq] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i - dq + j] -= c * b
-        return PolyQ._make(q), PolyQ._make(_trim(rem[:dq]))
+        (ca, A), (cb, B) = self._model, other._model
+        q, r = _pdivmod(A, B)
+        ca /= B[-1] ** max(len(A) - len(B) + 1, 0)
+        return PolyQ._make(q, ca / cb), PolyQ._make(r, ca)
 
     def derivative(self) -> "PolyQ":
-        return PolyQ._make(i * c for i, c in enumerate(self.coeffs) if i)
+        return PolyQ._make([i * a for i, a in enumerate(self._model[1]) if i], self._model[0])
 
     def evaluate(self, x0) -> Fraction:
         x0 = Fraction(x0)
@@ -134,32 +133,36 @@ class PolyQ(_Poly):
 
     def reverse(self) -> "PolyQ":
         """x^deg * f(1/x)."""
-        return PolyQ._make(_trim(list(reversed(self.coeffs))))
+        return PolyQ._make(self._model[1][::-1], self._model[0])
 
     def _inverse(self, modulus: "PolyQ") -> "PolyQ":
         """self^(-1) in Q[x]/(modulus), on the monic integer model."""
         if self.is_zero() or modulus.degree < 1:
             raise ZeroDivisionError("inverse of 0 in residue field")
         P, f = _monic_model(modulus)
-        c, A = self.integer_model()
-        return _from_theta(*_power_product(f, P[-1], [(c, A, -1)]), P[-1])
+        return _from_theta(*_power_product(f, P[-1], [(*self._model, -1)]), P[-1])
 
     def integer_model(self) -> tuple[Fraction, tuple[int, ...]]:
-        """(content, primitive integer coefficients): f = content * primitive."""
-        if self.is_zero():
-            return Fraction(0), ()
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        prim = _primitive(ints)
-        return Fraction(ints[-1] // prim[-1], den), tuple(prim)
+        """(content, primitive integer coefficients): f = content * primitive,
+        the primitive part with positive leading coefficient; (0, ()) for 0."""
+        return self._model
 
     def reduce_mod(self, p: int) -> PolyFp:
         """Reduction modulo a prime p; requires every denominator to be a p-unit."""
         _check_char(p)
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise ZeroDivisionError(f"coefficient {c} is not p-integral at {p}")
-        return PolyFp(p, tuple(c.numerator * pow(c.denominator, -1, p) for c in self.coeffs))
+        c, A = self._model
+        if c.denominator % p == 0:  # the primitive part has a coefficient prime to p
+            raise ZeroDivisionError(f"{self} is not p-integral at {p}")
+        c = c.numerator * pow(c.denominator, -1, p)
+        return PolyFp(p, tuple(c * a for a in A))
+
+
+def _model_of(ints: list[int], scale: Fraction) -> tuple[Fraction, tuple[int, ...]]:
+    """The integer model (content, primitive part) of scale * ints, ints trimmed."""
+    if not ints or not scale:
+        return Fraction(0), ()
+    prim = _primitive(ints)
+    return scale * (ints[-1] // prim[-1]), tuple(prim)
 
 
 # -- gcd and factorization in Z[x] --------------------------------------------
@@ -176,17 +179,22 @@ def _primitive(a) -> list[int]:
     return [c // g for c in a] if a and a[-1] > 0 else [-c // g for c in a]
 
 
-def _prem(a, b) -> list[int]:
-    """The pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b in Z[x], for
-    deg a >= deg b >= 1."""
-    db, lb = len(b) - 1, b[-1]
-    rem = list(a)
+def _pdivmod(a, b) -> tuple[list[int], list[int]]:
+    """(q, r) with lc(b)^k a = q b + r, deg r < deg b, k = max(deg a - deg b + 1, 0),
+    for b != 0 in Z[x] (pseudo-division; Knuth, TAOCP vol. 2, 4.6.1): a is
+    scaled by lc(b)^k first, so every step divides exactly."""
+    db, lb, k = len(b) - 1, b[-1], len(a) - len(b) + 1
+    if k <= 0:
+        return [], list(a)
+    s, q = lb**k, [0] * k
+    rem = [c * s for c in a]
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem.pop()
-        rem = [v * lb for v in rem]
-        for j in range(db):
-            rem[i - db + j] -= c * b[j]
-    return _trim(rem)
+        c = rem[i] // lb
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return q, _trim(rem[:db])
 
 
 # The prime that settles coprime gcds (``_gcd_z``) and the first prime the
@@ -210,7 +218,7 @@ def _gcd_z(a, b) -> list[int]:
         if len(_gcd([c % p for c in a], [c % p for c in b], p)) == 1:
             return [1]
     while len(b) > 1:
-        a, b = b, _primitive(_prem(a, b))
+        a, b = b, _primitive(_pdivmod(a, b)[1])
     return [1] if b else _primitive(a)
 
 
@@ -237,7 +245,7 @@ def _resultant_z(a, b) -> int:
         delta = da - db
         if da % 2 and db % 2:
             s = -s
-        r = _prem(a, b)
+        r = _pdivmod(a, b)[1]
         if not r:
             return 0
         div = g * h**delta
@@ -249,25 +257,13 @@ def _resultant_z(a, b) -> int:
     return s * t * (b[0] ** da // h ** (da - 1))
 
 
-def _rem_z(a, f) -> list[int]:
-    """a mod f in Z[x] for a monic f."""
-    d = len(f) - 1
-    rem = list(a)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(d):
-                rem[i - d + j] -= c * f[j]
-    return _trim(rem[:d])
-
-
 def _pow_z(a, e: int, f) -> list[int]:
     """a^e mod f in Z[x] for e >= 1, a monic f and a reduced a."""
     out = a
     for bit in bin(e)[3:]:
-        out = _rem_z(_mul(out, out), f)
+        out = _pdivmod(_mul(out, out), f)[1]
         if bit == "1":
-            out = _rem_z(_mul(out, a), f)
+            out = _pdivmod(_mul(out, a), f)[1]
     return out
 
 
@@ -479,7 +475,7 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
             while q is not None:
                 g, mult, q = q, mult + 1, _exact_quotient(q, u)
             found.append((u, mult))
-    out = [(PolyQ._make(Fraction(c, g[-1]) for c in g), mult) for g, mult in found]
+    out = [(PolyQ._make(g, Fraction(1, g[-1])), mult) for g, mult in found]
     out.sort(key=lambda t: t[0].sort_key())
     return f.leading(), out
 
@@ -529,7 +525,7 @@ def _to_theta(F, L: int) -> list[int]:
 
 def _from_theta(W: list[int], scale: Fraction, L: int) -> PolyQ:
     """scale * W(theta) as a polynomial in x, theta = L x."""
-    return PolyQ._make(scale * (c * L**j) for j, c in enumerate(W))
+    return PolyQ._make([c * L**j for j, c in enumerate(W)], scale)
 
 
 def _power_product(f: list[int], L: int, parts) -> tuple[list[int], Fraction]:
@@ -541,14 +537,14 @@ def _power_product(f: list[int], L: int, parts) -> tuple[list[int], Fraction]:
     top, bottom, s = [1], [1], Fraction(1)
     for c, F, e in parts:
         s *= (c / L ** (len(F) - 1)) ** e
-        u = _pow_z(_rem_z(_to_theta(F, L), f), abs(e), f)
+        u = _pow_z(_pdivmod(_to_theta(F, L), f)[1], abs(e), f)
         if e > 0:
-            top = _rem_z(_mul(top, u), f)
+            top = _pdivmod(_mul(top, u), f)[1]
         else:
-            bottom = _rem_z(_mul(bottom, u), f)
+            bottom = _pdivmod(_mul(bottom, u), f)[1]
     if bottom != [1]:
         v, res = _inv_z(bottom, f)
-        top, s = _rem_z(_mul(top, v), f), s / res
+        top, s = _pdivmod(_mul(top, v), f)[1], s / res
     return top, s
 
 
@@ -571,7 +567,7 @@ def _char_poly(r: list[int], f: list[int]) -> list[int]:
     traces, c = [d], [1]  # M = y^d + c[1] y^(d-1) + ... + c[d]
     power = [1]
     for k in range(1, d + 1):
-        power = _rem_z(_mul(power, r), f)
+        power = _pdivmod(_mul(power, r), f)[1]
         traces.append(sum(map(mul, power, tr_x)))
         c.append(-sum(c[i] * traces[k - i] for i in range(k)) // k)
     return c[::-1]
@@ -627,7 +623,7 @@ def _is_square_z(r: list[int], f: list[int]) -> bool:
     M, s = _char_poly(r, f), 0
     while len(_gcd_z(M, [i * c for i, c in enumerate(M) if i])) > 1:
         s += 1
-        M = _char_poly(_rem_z(_mul(r, _mul([1, s], [1, s])), f), f)
+        M = _char_poly(_pdivmod(_mul(r, _mul([1, s], [1, s])), f)[1], f)
     return len(_factor_squarefree([v for c in M for v in (c, 0)][:-1])) > 1
 
 
@@ -654,7 +650,7 @@ def is_square_mod(r: PolyQ, pi: PolyQ) -> bool:
     """
     P, f = _monic_model(pi)
     c, R = r.integer_model()
-    rt = _rem_z(_to_theta(R, P[-1]), f)
+    rt = _pdivmod(_to_theta(R, P[-1]), f)[1]
     if not rt:
         raise ZeroValuationError("square test of 0 in the residue field")
     scale = c.numerator * c.denominator * P[-1] ** ((len(R) - 1) % 2)

@@ -123,6 +123,12 @@ class TestValuation:
         with pytest.raises(ZeroValuationError):
             valuation(Fraction(0), 5)
 
+    def test_base_not_prime_rejected(self):
+        # these looped forever (1, -1) or divided by zero (0)
+        for p in (1, -1, 0, -2, 4, 15):
+            with pytest.raises(ValueError, match=f"{p} is not prime"):
+                valuation(5, p)
+
     @given(
         st.fractions(min_value=-999, max_value=999).filter(lambda q: q != 0),
         st.fractions(min_value=-999, max_value=999).filter(lambda q: q != 0),

@@ -1,7 +1,9 @@
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from ramgenus.exactarith import is_rational_square
 from ramgenus import gfpoly, qpoly
 from ramgenus.gfpoly import _mul, fq_inv
 from ramgenus.qpoly import (
-    PolyQ, _factor_squarefree, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
+    PolyQ, _factor_squarefree, _pdivmod, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
     rational_roots,
 )
 
@@ -166,8 +168,6 @@ class TestModelArithmetic:
             assert_model(PolyQ.of(coeffs))
 
     def test_value_does_not_depend_on_construction(self):
-        import pickle
-
         built = [
             (PolyQ.of([1, 2]) * PolyQ.constant(2), PolyQ.of([2, 4, 0])),
             (PolyQ.of([Fraction(1, 3), 1]) + PolyQ.of([Fraction(2, 3), -1]), PolyQ.constant(1)),
@@ -183,6 +183,50 @@ class TestModelArithmetic:
             c = pickle.loads(pickle.dumps(a))
             assert c == b and repr(c) == repr(b)
             assert c.integer_model() == b.integer_model() == a.integer_model()
+
+    def test_integer_model_is_stored(self):
+        f = PolyQ.of([Fraction(1, 2), Fraction(-3, 4)])
+        assert f.integer_model() is f.integer_model()
+        assert f.integer_model() == (Fraction(-1, 4), (-2, 3))
+
+
+def sympy_pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    x = sympy.Symbol("x")
+    A, B = (sympy.Poly(list(reversed(f)) or [0], x, domain="ZZ") for f in (a, b))
+    q, r = sympy.pdiv(A, B)
+    return ([int(c) for c in reversed(q.all_coeffs())] if not q.is_zero else [],
+            [int(c) for c in reversed(r.all_coeffs())] if not r.is_zero else [])
+
+
+class TestPseudoDivision:
+    """_pdivmod, the one pseudo-division in Z[x], against sympy's pdiv."""
+
+    def test_against_sympy(self):
+        rng = random.Random(1981)
+        for _ in range(300):
+            def poly(deg):
+                cs = [rng.randint(-30, 30) for _ in range(deg)]
+                return cs + [rng.choice([-4, -3, -1, 1, 1, 2, 7])]
+            a = poly(rng.randint(0, 9)) if rng.random() > 0.05 else []
+            b = poly(rng.randint(0, 5))
+            q, r = _pdivmod(a, b)
+            assert (q, r) == sympy_pdiv(a, b), (a, b)
+            k = max(len(a) - len(b) + 1, 0)
+            lhs = [c * b[-1] ** k for c in a]
+            rhs = [u + v for u, v in zip_longest(_mul(q, b), r, fillvalue=0)]
+            assert lhs == gfpoly._trim(rhs), (a, b)
+
+    def test_edge_operands(self):
+        cases = [
+            ([1, 2], [3, 0, 1]),  # deg a < deg b: q = 0, r = a
+            ([5], [1, 1]), ([], [2, 3]),
+            ([1, 0, 0, 0, 1], [-1, 0, 1]), ([4, 0, 3, 0, 0, 2], [1, 1]),  # monic b
+            ([3, 1, 4, 1, 5], [-2]), ([7, -3, 2], [9, -5]),
+        ]
+        for a, b in cases:
+            assert _pdivmod(a, b) == sympy_pdiv(a, b), (a, b)
+        assert _pdivmod([1, 2], [3, 0, 1]) == ([], [1, 2])
+        assert _pdivmod([0, 0, 1], [-1, 1]) == ([1, 1], [1])
 
 
 def euclid_gcd(f: PolyQ, g: PolyQ) -> PolyQ:
