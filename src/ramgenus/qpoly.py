@@ -118,7 +118,7 @@ class PolyQ(_Poly):
             raise ZeroDivisionError("polynomial division by zero")
         (ca, A), (cb, B) = self._model, other._model
         q, r = _pdivmod(A, B)
-        ca /= B[-1] ** max(len(A) - len(B) + 1, 0)
+        ca /= B[-1] ** max(len(A) - len(B) + 1, 0)  # ca A = ca (q B + r) / lc(B)^k
         return PolyQ._make(q, ca / cb), PolyQ._make(r, ca)
 
     def derivative(self) -> "PolyQ":
