@@ -51,6 +51,21 @@ def random_rf(rng, p, max_deg=3, polynomial=False):
 
 
 class TestPlacesOf:
+    def test_trusted_places_equal_public_ones(self):
+        # places_of and residues build their places from factorizer output
+        # without the constructor's checks; they compare, hash and print
+        # like the places that FFPlace.finite and FFPlace.infinity build
+        rng = random.Random(47)
+        algebras = [SymbolAlgebraFF(3, random_rf(rng, 7), random_rf(rng, 7)) for _ in range(8)]
+        algebras += [SymbolAlgebraFF(2, rf_q([-2, 0, 1], [0, 1]), rf_q([3, 1], [1, 0, 1])),
+                     SymbolAlgebraFF(2, rf_q([Fraction(1, 2), 0, 3]), rf_q([-1], [5, -1]))]
+        for D in algebras:
+            found = [w for f in (D.a, D.b) for w, _ in places_of(f)]
+            found += [res.place for res in residues(D)]
+            for w in found:
+                public = FFPlace.infinity(w.char) if w.is_infinite else FFPlace.finite(w.pi)
+                assert w == public and hash(w) == hash(public) and repr(w) == repr(public)
+
     def test_x_over_f3(self):
         f = rf_fp(3, (0, 1))
         assert [(str(w), v) for w, v in places_of(f)] == [("(x)", 1), ("inf", -1)]
@@ -125,7 +140,7 @@ class TestRationalFunction:
         for f in cases:
             one = f * f.inverse()
             power = one
-            for e in range(6):
+            for e in range(41):
                 assert f.pow(e) == power
                 power = power * f
             power = one

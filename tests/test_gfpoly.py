@@ -76,7 +76,8 @@ class TestArithmetic:
 
     def test_pow_mod_against_repeated_products(self):
         # the modulus need not be monic: its remainders are those of its
-        # monic associate
+        # monic associate; e runs from -3 to 40, a negative e only on a
+        # base prime to the modulus, where it is the inverse of f^(-e)
         rng = random.Random(29)
         for _ in range(150):
             p = rng.choice([2, 3, 5, 7, 10007])
@@ -84,11 +85,16 @@ class TestArithmetic:
             modulus = random_poly(rng, p, 4)
             if modulus.is_constant():
                 continue
-            power = PolyFp.constant(p, 1)
-            for e in range(8):
-                got = f.pow_mod(e, modulus)
-                assert got == (power if e == 0 else power % modulus)
-                power = power * f
+            powers = [PolyFp.constant(p, 1)]
+            for _ in range(40):
+                powers.append(powers[-1] * f % modulus)
+            for e, power in enumerate(powers):
+                assert f.pow_mod(e, modulus) == power
+            if f.gcd(modulus).degree > 0:
+                continue
+            for e in (1, 2, 3):
+                inv = f.pow_mod(-e, modulus)
+                assert inv.degree < modulus.degree and inv * powers[e] % modulus == powers[0]
 
 
 class TestPublicConstructor:

@@ -639,6 +639,29 @@ class TestIsSquareModAgainstTrager:
         assert is_square_mod(r, pi) == trager_reference(r, pi), (str(r), str(pi))
 
 
+class TestPowMod:
+    def test_against_repeated_products(self):
+        # e runs from -3 to 40, a negative e only on a base prime to the
+        # modulus, where it is the inverse of f^(-e)
+        rng = random.Random(61)
+        one = PolyQ.constant(1)
+        for _ in range(30):
+            f = random_polyq(rng, 4, nonzero=False)
+            modulus = random_polyq(rng, 3)
+            if modulus.is_constant():
+                continue
+            powers = [one]
+            for _ in range(40):
+                powers.append(powers[-1] * f % modulus)
+            for e, power in enumerate(powers):
+                assert f.pow_mod(e, modulus) == power
+            if f.gcd(modulus).degree > 0:
+                continue
+            for e in (1, 2, 3):
+                inv = f.pow_mod(-e, modulus)
+                assert inv.degree < modulus.degree and inv * powers[e] % modulus == one
+
+
 class TestInverse:
     def test_inverse_against_products(self):
         rng = random.Random(77)
