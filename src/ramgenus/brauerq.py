@@ -38,8 +38,7 @@ class QuaternionQ(Value):
         a, b = Fraction(a), Fraction(b)
         if a == 0 or b == 0:
             raise ZeroValuationError("quaternion entries must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set(a, b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"
@@ -60,7 +59,7 @@ class RamificationSet(Value):
             raise ValueError(
                 "a ramification set has even size (reciprocity violated?)"
             )
-        object.__setattr__(self, "places", ordered)
+        self._set(ordered)
 
     def __iter__(self):
         return iter(self.places)
@@ -86,7 +85,8 @@ def candidate_places(D: QuaternionQ) -> list[PlaceQ]:
     for q in (D.a, D.b):
         primes.update(factor(q.numerator).primes())
         primes.update(factor(q.denominator).primes())
-    places = [PlaceQ._from_factor(p) for p in sorted(primes)]
+    # factor has certified each p, so the places skip the primality test
+    places = [PlaceQ._new(p) for p in sorted(primes)]
     places.append(REAL_PLACE)
     return places
 
@@ -127,7 +127,7 @@ class QuadraticField(Value):
             raise ValueError(f"{d} is not squarefree")
         if d == 1:
             raise ValueError("d = 1 gives Q, not a quadratic field")
-        object.__setattr__(self, "d", d)
+        self._set(d)
 
     @classmethod
     def from_rational(cls, q: Fraction | int) -> "QuadraticField":

@@ -69,9 +69,7 @@ class _Token(Value):
     __slots__ = ("kind", "value", "pos")
 
     def __init__(self, kind: str, value: object, pos: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "pos", pos)
+        self._set(kind, value, pos)
 
 
 # a number, with "/ denominator" when a digit follows the slash; a name; one
@@ -348,10 +346,8 @@ class Report(Value):
     def __init__(self, command: str, inputs: dict, result: object, factors: dict | None = None,
                  provenance: list[str] | None = None, exit_status: int = EXIT_OK,
                  inline_notes: dict | None = None):
-        values = (command, inputs, result, factors, [] if provenance is None else provenance,
+        self._set(command, inputs, result, factors, [] if provenance is None else provenance,
                   exit_status, {} if inline_notes is None else inline_notes)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def to_document(self) -> dict:
         doc = {"command": self.command, "inputs": self.inputs, "result": self.result}

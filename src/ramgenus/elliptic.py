@@ -53,10 +53,7 @@ class WeierstrassCurve(Value):
             raise NotSplitError("roots must be pairwise distinct")
         if alpha != -(a + b + c) or beta != a * b + a * c + b * c or gamma != -a * b * c:
             raise NotSplitError("coefficients do not match the stated roots")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "roots", rts)
+        self._set(alpha, beta, gamma, rts)
 
     @classmethod
     def from_roots(cls, a, b, c) -> "WeierstrassCurve":
@@ -91,8 +88,7 @@ class ExceptionalSet(Value):
         ordered = tuple(sorted(set(places)))
         if REAL_PLACE not in ordered:
             raise ValueError("S must contain the real place")
-        object.__setattr__(self, "places", ordered)
-        object.__setattr__(self, "provenance", provenance)
+        self._set(ordered, provenance)
 
     def __iter__(self):
         return iter(self.places)
@@ -169,9 +165,7 @@ class GenusBoundReport(Value):
             raise ValueError("factors do not multiply to the bound")
         if t != c + 1:
             raise ValueError("t must equal c + 1")
-        values = (bound, two_power, cl_factor, unit_factor, S, t, c)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(bound, two_power, cl_factor, unit_factor, S, t, c)
 
 
 def elliptic_genus_bound(curve: WeierstrassCurve, extra=()) -> GenusBoundReport:

@@ -118,8 +118,7 @@ class PrimeFactorization(Value):
     def __init__(self, sign: int, factors: tuple[tuple[int, int], ...]):
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
+        self._set(sign, factors)
 
     def value(self) -> int:
         n = self.sign
@@ -192,6 +191,15 @@ def factor(n: int) -> PrimeFactorization:
     return PrimeFactorization(sign, tuple(sorted(counts.items())))
 
 
+def _p_split(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) with v = v_p(n), for a nonzero integer n and p > 1."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def valuation(a: Fraction | int, p: int) -> int:
     """p-adic valuation v_p(a) for nonzero rational a and a prime p."""
     if not is_prime(p):
@@ -199,16 +207,7 @@ def valuation(a: Fraction | int, p: int) -> int:
     a = Fraction(a)
     if a == 0:
         raise ZeroValuationError("v_p(0) is +infinity")
-    v = 0
-    n = a.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = a.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _p_split(a.numerator, p)[0] - _p_split(a.denominator, p)[0]
 
 
 def legendre(a: int, p: int) -> int:

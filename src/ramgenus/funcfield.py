@@ -20,6 +20,7 @@ through x -> 1/x at the degree place, as a reference.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ._value import Value
@@ -31,6 +32,7 @@ from .gfpoly import (
     _inv_mod,
     _mul,
     _pow_mod,
+    _power,
     fq_inv,
     is_irreducible_fp,
     poly_factor_fp,
@@ -71,22 +73,11 @@ class FFPlace(Value):
                 raise ValueError(f"{pi} is not monic irreducible over Q")
         else:
             raise TypeError("pi must be PolyFp, PolyQ, or None")
-        object.__setattr__(self, "char", char)
-        object.__setattr__(self, "pi", pi)
+        self._set(char, pi)
 
     @classmethod
     def finite(cls, pi: PolyFp | PolyQ) -> "FFPlace":
         return cls(pi.p if isinstance(pi, PolyFp) else 0, pi)
-
-    @classmethod
-    def _trusted(cls, char: int, pi: PolyFp | PolyQ | None) -> "FFPlace":
-        """The place of a monic irreducible that a factorizer has just
-        produced, or the degree place of a characteristic read off a validated
-        polynomial; skips the tests that the constructor runs."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "char", char)
-        object.__setattr__(place, "pi", pi)
-        return place
 
     @classmethod
     def infinity(cls, char: int) -> "FFPlace":
@@ -135,8 +126,7 @@ class RationalFunction(Value):
         if lead != 1:
             inv = den._inv(lead)
             num, den = num.scale(inv), den.scale(inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num, den)
 
     @classmethod
     def of(cls, num: PolyFp | PolyQ, den: PolyFp | PolyQ | None = None):
@@ -174,15 +164,9 @@ class RationalFunction(Value):
     def pow(self, e: int) -> "RationalFunction":
         if e < 0:
             return self.inverse().pow(-e)
-        out = RationalFunction.of(self.num._like((1,)))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        if e == 0:
+            return RationalFunction.of(self.num._like((1,)))
+        return _power(self, e, operator.mul)
 
     def at_infinity_model(self) -> "RationalFunction":
         """The function f(1/x); its valuation at the place (x) equals the
@@ -212,7 +196,8 @@ class RationalFunction(Value):
         """
         if place.is_infinite:
             model = self.at_infinity_model()
-            return model.residue_at(FFPlace._trusted(self.char, self.num._like((0, 1))))
+            # x is monic irreducible over every k: the place (x) needs no test
+            return model.residue_at(FFPlace._new(self.char, self.num._like((0, 1))))
         pi = place.pi
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
@@ -255,14 +240,14 @@ def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
         else:
             _, parts = factor_q(poly)
         for pi, mult in parts:
-            place = FFPlace._trusted(f.char, pi)
+            place = FFPlace._new(f.char, pi)  # a monic irreducible: no re-test
             vals[place] = vals.get(place, 0) + sign * mult
 
     absorb(f.num, 1)
     absorb(f.den, -1)
     vinf = f.den.degree - f.num.degree
     if vinf:
-        vals[FFPlace._trusted(f.char, None)] = vinf
+        vals[FFPlace._new(f.char, None)] = vinf  # char read off a valid f
     out = [(place, v) for place, v in vals.items() if v != 0]
     out.sort(key=lambda t: t[0].sort_key())
     return out
@@ -282,9 +267,7 @@ class SymbolAlgebraFF(Value):
             raise ZeroValuationError("symbol entries must be nonzero")
         if a.char > 0 and math.gcd(n, a.char) != 1:
             raise UnsupportedFieldError(f"degree {n} not prime to characteristic {a.char}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set(n, a, b)
 
     @property
     def char(self) -> int:
@@ -308,9 +291,7 @@ class TameResidue(Value):
     certainty = "proven"
 
     def __init__(self, place: FFPlace, residue_class: object, ramified: bool):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "residue_class", residue_class)
-        object.__setattr__(self, "ramified", ramified)
+        self._set(place, residue_class, ramified)
 
 
 def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
@@ -318,7 +299,7 @@ def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
     if w.is_infinite:
         a = D.a.at_infinity_model()
         b = D.b.at_infinity_model()
-        w = FFPlace._trusted(D.char, a.num._like((0, 1)))
+        w = FFPlace._new(D.char, a.num._like((0, 1)))  # (x) needs no test
     else:
         a, b = D.a, D.b
     va, vb = a.valuation_at(w), b.valuation_at(w)
@@ -427,7 +408,7 @@ def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
     missing from the list is provably unramified.
     """
     places = {p for p, _ in places_of(D.a)} | {p for p, _ in places_of(D.b)}
-    places.add(FFPlace._trusted(D.char, None))
+    places.add(FFPlace._new(D.char, None))  # char read off a valid algebra
     return [tame_residue(D, w) for w in sorted(places, key=FFPlace.sort_key)]
 
 
@@ -460,9 +441,7 @@ class FFGenusBound(Value):
 
     def __init__(self, bound: int, unramified_order: int, phi_factor: int, n: int, r: int,
                  ramified: tuple[FFPlace, ...]):
-        values = (bound, unramified_order, phi_factor, n, r, ramified)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(bound, unramified_order, phi_factor, n, r, ramified)
 
 
 def genus_bound(D: SymbolAlgebraFF) -> FFGenusBound:

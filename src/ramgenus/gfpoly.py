@@ -9,12 +9,13 @@ Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``_inv_mod``; ``qpoly``'s products, Hensel lifting and inverse share them),
 reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
 ``constant``, ``x``) check p and reduce coefficients; ring operations build
-their results with the trusted ``PolyFp._make``.
+their results with the trusted ``PolyFp._make`` (over ``Value._new``).
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, ``monic``,
 ``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi). Each runs
 its ring operations, gcd and inverse on ints, PolyFp on residues mod p and
-PolyQ on its stored integer model; PolyFp overrides ``pow_mod``.
+PolyQ on its stored integer model. Every power, over F_p, Q and k(x), is
+the one square-and-multiply ``_power``; PolyFp's ``pow_mod`` runs it on ints.
 
 ``poly_factor_fp`` takes ``qpoly.factor_q``'s route on int lists and builds
 a PolyFp only for each irreducible it returns. Per squarefree part one
@@ -153,17 +154,21 @@ def _derivative(a, p: int) -> list[int]:
     return _trim([i * c % p for i, c in enumerate(a) if i])
 
 
-def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod (f, p) for e >= 1 and a monic f, left to right: every step
-    squares, then multiplies by a when the exponent bit is set, so no
+def _power(base, e: int, mul):
+    """base^e for e >= 1 under the product mul, left to right: every step
+    squares, then multiplies by base when the exponent bit is set, so no
     squaring follows the last bit."""
-    base = _divmod_monic(a, f, p)[1]
     out = base
     for bit in bin(e)[3:]:
-        out = _divmod_monic(_mul(out, out), f, p)[1]
+        out = mul(out, out)
         if bit == "1":
-            out = _divmod_monic(_mul(out, base), f, p)[1]
+            out = mul(out, base)
     return out
+
+
+def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod (f, p) for e >= 1 and a monic f."""
+    return _power(_divmod_monic(a, f, p)[1], e, lambda u, v: _divmod_monic(_mul(u, v), f, p)[1])
 
 
 class _Poly(Value):
@@ -214,13 +219,7 @@ class _Poly(Value):
             raise ZeroDivisionError("polynomial division by zero")
         if e == 0:
             return self._like((1,))
-        base = self % modulus
-        out = base
-        for bit in bin(e)[3:]:
-            out = out * out % modulus
-            if bit == "1":
-                out = out * base % modulus
-        return out
+        return _power(self % modulus, e, lambda u, v: u * v % modulus)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -251,17 +250,13 @@ class PolyFp(_Poly):
         cs = tuple(c % p for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", cs)
+        self._set(p, cs)
 
     @classmethod
     def _make(cls, p: int, coeffs) -> "PolyFp":
         """Trusted constructor for kernel results: p is a known prime and the
         coefficients are already reduced into [0, p) and trimmed."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "p", p)
-        object.__setattr__(poly, "coeffs", tuple(coeffs))
-        return poly
+        return cls._new(p, tuple(coeffs))
 
     def _like(self, coeffs) -> "PolyFp":
         return PolyFp._make(self.p, coeffs)

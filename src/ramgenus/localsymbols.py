@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ._value import Value
 from .errors import ZeroValuationError
-from .exactarith import is_prime, legendre, smallest_nonresidue
+from .exactarith import _p_split, is_prime, legendre, smallest_nonresidue
 
 
 @functools.total_ordering
@@ -27,19 +27,11 @@ class PlaceQ(Value):
     def __init__(self, p: int | None):
         if p is not None and not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "p", p)
+        self._set(p)
 
     @classmethod
     def finite(cls, p: int) -> "PlaceQ":
         return cls(p)
-
-    @classmethod
-    def _from_factor(cls, p: int) -> "PlaceQ":
-        """The place of a prime that ``factor`` has just certified; skips the
-        primality test that the constructor runs."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "p", p)
-        return place
 
     @classmethod
     def real_infinity(cls) -> "PlaceQ":
@@ -76,9 +68,7 @@ class LocalSquareClass(Value):
     __slots__ = ("place", "parity", "unit")
 
     def __init__(self, place: PlaceQ, parity: int, unit: int):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "unit", unit)
+        self._set(place, parity, unit)
 
     def is_identity(self) -> bool:
         return self.parity == 0 and self.unit == 1
@@ -151,22 +141,14 @@ def _num_den(a) -> tuple[int, int]:
     return a.as_integer_ratio()
 
 
-def _strip(n: int, p: int) -> tuple[int, int]:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 def _local_split(n: int, d: int, p: int) -> tuple[int, int]:
     """(v_p(n/d), unit proxy): the proxy n0*d0 is a p-unit integer in the same
     square class of Q_p as the unit part of n/d (n0/d0 and n0*d0 differ by
     d0^2)."""
     if n % p and d % p:
         return 0, n * d
-    vn, n0 = _strip(n, p)
-    vd, d0 = _strip(d, p)
+    vn, n0 = _p_split(n, p)
+    vd, d0 = _p_split(d, p)
     return vn - vd, n0 * d0
 
 
@@ -204,7 +186,7 @@ class LocalInvariant(Value):
     def __init__(self, value: Fraction):
         if value not in (Fraction(0), Fraction(1, 2)):
             raise ValueError("quaternion invariants are 0 or 1/2")
-        object.__setattr__(self, "value", value)
+        self._set(value)
 
     def __add__(self, other: "LocalInvariant") -> "LocalInvariant":
         return LocalInvariant((self.value + other.value) % 1)
@@ -250,16 +232,8 @@ def invariant(a: Fraction | int, b: Fraction | int, v: PlaceQ) -> LocalInvariant
 def _hensel_accepts(
     fval: int, grads: tuple[int, int, int], p: int, level: int, modulus: int
 ) -> bool:
-    def val(n: int) -> int:
-        if n % modulus == 0:
-            return level
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    e = min(val(g) for g in grads)
+    # a gradient that vanishes modulo p^level counts as valuation level
+    e = min(level if g % modulus == 0 else _p_split(g, p)[0] for g in grads)
     return fval % modulus == 0 and 2 * e + 1 <= level
 
 

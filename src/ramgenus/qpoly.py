@@ -4,7 +4,8 @@
 content times a primitive integer polynomial, and runs every ring operation
 on that model: sums over a common denominator, products of the primitive
 parts (primitive by Gauss's lemma), division by the one pseudo-division in
-Z[x] (``_pdivmod``); results are built by the trusted ``PolyQ._make``.
+Z[x] (``_pdivmod``); results are built by the trusted ``PolyQ._make``
+(over ``Value._new``).
 Structure, ``pow_mod`` and printing come from ``gfpoly._Poly``, shared with
 PolyFp. The gcd settles coprime pairs modulo one prime and runs a primitive
 remainder sequence otherwise (``_gcd_z``), the resultant is the
@@ -17,9 +18,10 @@ and recombination of lifted factors checked by exact division.
 
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
 Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
-exact remainders by the monic f, and the inverse of b (``fq_inv``, through
-``PolyQ._inverse``) is v / res with res = Res(f, b) and v integral, lifted
-p-adically past a Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
+exact remainders by the monic f, powers are ``gfpoly._power`` over those
+products, and the inverse of b (``fq_inv``, through ``PolyQ._inverse``) is
+v / res with res = Res(f, b) and v integral, lifted p-adically past a
+Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
 a local sieve modulo a few primes and Trager's norm method, in that order
 (``is_square_mod``). It is self-contained: no computer-algebra system is
 imported.
@@ -38,7 +40,7 @@ from .errors import ZeroValuationError
 from .exactarith import primes_after
 from .gfpoly import (
     PolyFp, _add_mod, _check_char, _divmod_monic, _equal_degree_split, _gcd, _inv_mod, _mul,
-    _mul_mod, _Poly, _pow_mod, _squarefree_ddf, _trim,
+    _mul_mod, _Poly, _pow_mod, _power, _squarefree_ddf, _trim,
 )
 
 class PolyQ(_Poly):
@@ -53,18 +55,14 @@ class PolyQ(_Poly):
             cs = cs[:-1]
         den = lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (den // c.denominator) for c in cs]
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_model", _model_of(ints, Fraction(1, den)))
+        self._set(cs, _model_of(ints, Fraction(1, den)))
 
     @classmethod
     def _make(cls, ints, scale: Fraction) -> "PolyQ":
         """Trusted constructor for kernel results: scale * ints, for any int list."""
-        poly = object.__new__(cls)
         content, prim = model = _model_of(_trim(list(ints)), scale)
         n, d = content.numerator, content.denominator
-        object.__setattr__(poly, "coeffs", tuple(Fraction(n * c, d) for c in prim))
-        object.__setattr__(poly, "_model", model)
-        return poly
+        return cls._new(tuple(Fraction(n * c, d) for c in prim), model)
 
     def _like(self, coeffs) -> "PolyQ":
         return PolyQ(tuple(coeffs))
@@ -79,7 +77,7 @@ class PolyQ(_Poly):
 
     @classmethod
     def of(cls, coeffs) -> "PolyQ":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @classmethod
     def constant(cls, c) -> "PolyQ":
@@ -255,16 +253,6 @@ def _resultant_z(a, b) -> int:
             h = g**delta // h ** (delta - 1)
     da = len(a) - 1
     return s * t * (b[0] ** da // h ** (da - 1))
-
-
-def _pow_z(a, e: int, f) -> list[int]:
-    """a^e mod f in Z[x] for e >= 1, a monic f and a reduced a."""
-    out = a
-    for bit in bin(e)[3:]:
-        out = _pdivmod(_mul(out, out), f)[1]
-        if bit == "1":
-            out = _pdivmod(_mul(out, a), f)[1]
-    return out
 
 
 def _inv_z(b, f) -> tuple[list[int], int]:
@@ -534,17 +522,20 @@ def _power_product(f: list[int], L: int, parts) -> tuple[list[int], Fraction]:
     integer polynomial F prime to pi and an exponent e != 0. The positive and
     the negative powers are multiplied apart on int lists, and the product of
     the negative ones is inverted once (``_inv_z``)."""
+    def mul_mod(u, v):
+        return _pdivmod(_mul(u, v), f)[1]
+
     top, bottom, s = [1], [1], Fraction(1)
     for c, F, e in parts:
         s *= (c / L ** (len(F) - 1)) ** e
-        u = _pow_z(_pdivmod(_to_theta(F, L), f)[1], abs(e), f)
+        u = _power(_pdivmod(_to_theta(F, L), f)[1], abs(e), mul_mod)
         if e > 0:
-            top = _pdivmod(_mul(top, u), f)[1]
+            top = mul_mod(top, u)
         else:
-            bottom = _pdivmod(_mul(bottom, u), f)[1]
+            bottom = mul_mod(bottom, u)
     if bottom != [1]:
         v, res = _inv_z(bottom, f)
-        top, s = _pdivmod(_mul(top, v), f)[1], s / res
+        top, s = mul_mod(top, v), s / res
     return top, s
 
 

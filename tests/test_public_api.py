@@ -193,3 +193,22 @@ def test_value_semantics(cls, fields, other):
             setattr(b, name, value)
     assert repr(a).startswith(cls.__name__ + "(")
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_only_the_value_module_fills_values():
+    """How a value is filled is decided in ``_value`` alone: no other module
+    of the package names ``object.__setattr__``."""
+    import ast
+    from pathlib import Path
+
+    package = Path(__file__).resolve().parent.parent / "src" / "ramgenus"
+    modules = sorted(package.glob("*.py"))
+    assert "_value.py" in {path.name for path in modules}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules if path.name != "_value.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert found == []
