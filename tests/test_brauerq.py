@@ -202,6 +202,25 @@ class TestQuadraticField:
         with pytest.raises(ValueError):
             QuadraticField(12)
 
+    def test_derived_fields_equal_public_ones(self):
+        # from_rational and distinguishing_field build their fields without
+        # the constructor's squarefree check; they must equal, hash and
+        # print like the field built through it
+        built = [QuadraticField.from_rational(q)
+                 for q in (Fraction(8), Fraction(2, 3), -4, Fraction(-45, 7), 10**6 + 3)]
+        for D1, D2 in ((QuaternionQ(-1, 3), QuaternionQ(-1, 7)),
+                       (QuaternionQ(-1, -1), QuaternionQ(-2, -5)),
+                       (QuaternionQ(3, 7), QuaternionQ(-1, 11))):
+            field = distinguishing_field(D1, D2)
+            if field is not None:
+                built.append(field)
+        assert len(built) > 5
+        for field in built:
+            public = QuadraticField(field.d)
+            assert type(field.d) is int
+            assert field == public and hash(field) == hash(public)
+            assert repr(field) == repr(public) and str(field) == str(public)
+
 
 class TestEmbeds:
     def test_worked_example(self):

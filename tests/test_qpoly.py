@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
 from ramgenus import gfpoly, qpoly
-from ramgenus.gfpoly import _mul, fq_inv
+from ramgenus.gfpoly import PolyFp, _mul, fq_inv
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, _pdivmod, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
     rational_roots,
@@ -660,6 +660,55 @@ class TestPowMod:
             for e in (1, 2, 3):
                 inv = f.pow_mod(-e, modulus)
                 assert inv.degree < modulus.degree and inv * powers[e] % modulus == one
+
+
+def random_integer_poly(rng, p, max_deg):
+    """An integer PolyQ of degree 1..max_deg whose leading coefficient and
+    constant term are prime to p, so reduction mod p keeps the degree of it
+    and of its reversal."""
+    while True:
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(2, max_deg + 1))]
+        if coeffs[0] % p and coeffs[-1] % p:
+            return PolyQ.of(coeffs)
+
+
+class TestReductionModP:
+    """The operations that do not depend on the ring commute with reduction
+    modulo p: the PolyQ result reduced equals the PolyFp result."""
+
+    def test_commutes_with_reduction(self):
+        rng = random.Random(2311)
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7, 10007])
+            f, g = random_integer_poly(rng, p, 6), random_integer_poly(rng, p, 6)
+            fp, gp = f.reduce_mod(p), g.reduce_mod(p)
+            assert (f - g).reduce_mod(p) == fp - gp
+            assert (-f).reduce_mod(p) == -fp
+            assert f.reverse().reduce_mod(p) == fp.reverse()
+            m = PolyQ.of([rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [1])
+            mp = m.reduce_mod(p)
+            # a negative e only on a base invertible mod (m, p); then
+            # Res(f, m) is prime to p and the inverse over Q is p-integral
+            invertible = fp.gcd(mp).degree == 0
+            for e in range(-3 if invertible else 0, 13):
+                assert f.pow_mod(e, m).reduce_mod(p) == fp.pow_mod(e, mp), (str(f), str(m), p, e)
+
+
+class TestPowModErrors:
+    def test_modulus_of_another_characteristic(self):
+        f, m = PolyFp.of(3, (1, 1)), PolyFp.of(5, (1, 0, 1))
+        for e in (0, 1, 2, -1):
+            with pytest.raises(ValueError):
+                f.pow_mod(e, m)
+        with pytest.raises(ValueError):
+            f - m
+
+    def test_zero_modulus(self):
+        for f in (PolyFp.of(5, (1, 2)), PolyQ.of([1, 2])):
+            zero = f.scale(0)
+            for e in (0, 1):
+                with pytest.raises(ZeroDivisionError):
+                    f.pow_mod(e, zero)
 
 
 class TestInverse:
