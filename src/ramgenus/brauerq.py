@@ -136,7 +136,8 @@ class QuadraticField(Value):
             raise ZeroValuationError("0 does not define a quadratic field")
         if is_rational_square(q):
             raise ValueError(f"{q} is a rational square; Q(sqrt) is just Q")
-        return cls(squarefree_part(q))
+        # squarefree by construction, and not 1 as q is no square
+        return cls._new(squarefree_part(q))
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -270,7 +271,7 @@ def distinguishing_field(
             continue
         if any(is_local_square(d, v) for v in other):
             continue
-        field = QuadraticField(d)
+        field = QuadraticField._new(d)  # the sieve yields squarefree d != 0, 1
         e1, e2 = embeds(field, D1), embeds(field, D2)
         if e1 == e2:  # pragma: no cover - the criterion above rules this out
             raise ArithmeticError("witness failed self-verification")

@@ -11,11 +11,11 @@ reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
 ``constant``, ``x``) check p and reduce coefficients; ring operations build
 their results with the trusted ``PolyFp._make`` (over ``Value._new``).
 
-``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly`` (structure, ``monic``,
-``pow_mod``, printing) and ``fq_inv``, the inverse in k[x]/(pi). Each runs
-its ring operations, gcd and inverse on ints, PolyFp on residues mod p and
+``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly``, every operation that
+does not depend on the ring, and ``fq_inv``, the inverse in k[x]/(pi). Each
+runs its ring kernels, gcd and inverse on ints, PolyFp on residues mod p and
 PolyQ on its stored integer model. Every power, over F_p, Q and k(x), is
-the one square-and-multiply ``_power``; PolyFp's ``pow_mod`` runs it on ints.
+the one square-and-multiply ``_power``.
 
 ``poly_factor_fp`` takes ``qpoly.factor_q``'s route on int lists and builds
 a PolyFp only for each irreducible it returns. Per squarefree part one
@@ -172,11 +172,11 @@ def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
 
 
 class _Poly(Value):
-    """What a dense polynomial over a field k does independently of k:
-    ``coeffs`` ascending with trailing zeros stripped, structure, ``monic``,
-    ``pow_mod`` and printing. A subclass supplies its ring operations (on
-    residues mod p, or on PolyQ's integer model), ``gcd``, ``_like(coeffs)``
-    (a polynomial over the same field), ``_inv(c)`` and ``_inverse(modulus)``."""
+    """A dense polynomial over a field k, ``coeffs`` ascending without trailing
+    zeros, and all it does independently of k: structure, negation,
+    subtraction, ``reverse``, ``monic``, ``pow_mod`` and printing. A subclass
+    supplies the ring kernels ``__add__``, ``__mul__``, ``scale``,
+    ``__divmod__``, ``gcd``, ``_inverse``, ``_like(coeffs)`` and ``_inv(c)``."""
 
     __slots__ = ()
 
@@ -205,21 +205,29 @@ class _Poly(Value):
     def __mod__(self, other):
         return divmod(self, other)[1]
 
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
     def monic(self):
         if self.is_zero():
             return self
         return self.scale(self._inv(self.leading()))
 
+    def reverse(self):
+        """x^deg * f(1/x): the coefficient list reversed."""
+        return self._like(_trim(list(self.coeffs[::-1])))
+
     def pow_mod(self, e: int, modulus):
         """self^e in k[x]/(modulus), left to right; for e < 0 the inverse of
-        self^(-e)."""
+        self^(-e). The first remainder refuses a zero modulus, and over F_p
+        one of another characteristic; k[x]/(c) is 0 for a constant c."""
         if e < 0:
             return self.pow_mod(-e, modulus)._inverse(modulus)
-        if modulus.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if e == 0:
-            return self._like((1,))
-        return _power(self % modulus, e, lambda u, v: u * v % modulus)
+        base = self % modulus
+        return _power(base, e, lambda u, v: u * v % modulus) if e else self._like((1,)) % modulus
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -247,10 +255,7 @@ class PolyFp(_Poly):
 
     def __init__(self, p: int, coeffs: tuple[int, ...]):
         _check_char(p)
-        cs = tuple(c % p for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        self._set(p, cs)
+        self._set(p, tuple(_trim([c % p for c in coeffs])))
 
     @classmethod
     def _make(cls, p: int, coeffs) -> "PolyFp":
@@ -293,13 +298,6 @@ class PolyFp(_Poly):
         self._check(other)
         return PolyFp._make(self.p, _add_mod(self.coeffs, other.coeffs, self.p))
 
-    def __neg__(self) -> "PolyFp":
-        return PolyFp._make(self.p, [-c % self.p for c in self.coeffs])
-
-    def __sub__(self, other: "PolyFp") -> "PolyFp":
-        self._check(other)
-        return PolyFp._make(self.p, _add_mod(self.coeffs, other.coeffs, self.p, -1))
-
     def __mul__(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
         return PolyFp._make(self.p, _mul_mod(self.coeffs, other.coeffs, self.p))
@@ -341,20 +339,7 @@ class PolyFp(_Poly):
             acc = (acc * x0 + c) % self.p
         return acc
 
-    def reverse(self) -> "PolyFp":
-        """x^deg * f(1/x): the coefficient list reversed."""
-        return PolyFp._make(self.p, _trim(list(reversed(self.coeffs))))
-
-    def pow_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
-        if e < 0:
-            return self.pow_mod(-e, modulus)._inverse(modulus)
-        self._check(modulus)
-        if modulus.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if e == 0:
-            return PolyFp._make(self.p, (1,))
-        p = self.p
-        return PolyFp._make(p, _pow_mod(self.coeffs, e, _monic(modulus.coeffs, p), p))
+    pow_mod = _Poly.pow_mod  # bench/spans.py wraps PolyFp.__dict__["pow_mod"]
 
 
 # -- residue field k[x]/(pi) ---------------------------------------------------

@@ -1,20 +1,20 @@
 """Polynomial arithmetic over Q, with exact factorization into irreducibles.
 
-``PolyQ`` keeps its Fraction coefficients beside its integer model, a
-content times a primitive integer polynomial, and runs every ring operation
-on that model: sums over a common denominator, products of the primitive
-parts (primitive by Gauss's lemma), division by the one pseudo-division in
-Z[x] (``_pdivmod``); results are built by the trusted ``PolyQ._make``
-(over ``Value._new``).
-Structure, ``pow_mod`` and printing come from ``gfpoly._Poly``, shared with
-PolyFp. The gcd settles coprime pairs modulo one prime and runs a primitive
-remainder sequence otherwise (``_gcd_z``), the resultant is the
-subresultant algorithm (``_resultant_z``), and factorization follows
-Zassenhaus (1969; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15):
-the squarefree part f / gcd(f, f'), factor degrees modulo up to three small
-primes by distinct-degree factorization, equal-degree splitting of those
-parts modulo one of them, quadratic Hensel lifting past a Mignotte bound,
-and recombination of lifted factors checked by exact division.
+``PolyQ`` keeps its Fraction coefficients beside its integer model, a content
+times a primitive integer polynomial, and runs every ring operation on that
+model: sums over a common denominator, products of the primitive parts
+(primitive by Gauss's lemma), division by the one pseudo-division in Z[x]
+(``_pdivmod``); results are built by the trusted ``PolyQ._make`` (over
+``Value._new``). What does not depend on the ring (structure, negation,
+subtraction, ``reverse``, ``monic``, ``pow_mod``, printing) comes from
+``gfpoly._Poly``, shared with PolyFp. The gcd settles coprime pairs modulo one
+prime and runs a primitive remainder sequence otherwise (``_gcd_z``), the
+resultant is the subresultant algorithm (``_resultant_z``), and factorization
+follows Zassenhaus (1969; von zur Gathen-Gerhard, Modern Computer Algebra,
+ch. 15): the squarefree part f / gcd(f, f'), factor degrees modulo up to three
+small primes by distinct-degree factorization, equal-degree splitting of those
+parts modulo one of them, quadratic Hensel lifting past a Mignotte bound, and
+recombination of lifted factors checked by exact division.
 
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
 Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
@@ -50,9 +50,7 @@ class PolyQ(_Poly):
     __slots__ = ("coeffs", "_model")
 
     def __init__(self, coeffs: tuple[Fraction, ...]):
-        cs = tuple(Fraction(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
+        cs = tuple(_trim([Fraction(c) for c in coeffs]))
         den = lcm(*(c.denominator for c in cs))
         ints = [c.numerator * (den // c.denominator) for c in cs]
         self._set(cs, _model_of(ints, Fraction(1, den)))
@@ -98,12 +96,6 @@ class PolyQ(_Poly):
         ints = [sa * a + sb * b for a, b in zip_longest(A, B, fillvalue=0)]
         return PolyQ._make(ints, Fraction(1, den))
 
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyQ":
-        return self.scale(-1)
-
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         (ca, A), (cb, B) = self._model, other._model
         return PolyQ._make(_mul(A, B), ca * cb)
@@ -128,10 +120,6 @@ class PolyQ(_Poly):
         for c in reversed(self.coeffs):
             acc = acc * x0 + c
         return acc
-
-    def reverse(self) -> "PolyQ":
-        """x^deg * f(1/x)."""
-        return PolyQ._make(self._model[1][::-1], self._model[0])
 
     def _inverse(self, modulus: "PolyQ") -> "PolyQ":
         """self^(-1) in Q[x]/(modulus), on the monic integer model."""

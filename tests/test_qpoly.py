@@ -661,6 +661,16 @@ class TestPowMod:
                 inv = f.pow_mod(-e, modulus)
                 assert inv.degree < modulus.degree and inv * powers[e] % modulus == one
 
+    def test_constant_modulus(self):
+        # k[x]/(c) is the zero ring for a nonzero constant c, so every power
+        # is 0 there, e = 0 included, as 1 % c is
+        for f, c in ((PolyFp.of(5, (1, 2)), PolyFp.constant(5, 3)),
+                     (PolyQ.of([1, 2]), PolyQ.constant(Fraction(2, 3)))):
+            one = f._like((1,))
+            assert (one % c).is_zero()
+            for e in (0, 1, 2, 5):
+                assert f.pow_mod(e, c) == f.scale(0), (str(f), str(c), e)
+
 
 def random_integer_poly(rng, p, max_deg):
     """An integer PolyQ of degree 1..max_deg whose leading coefficient and
