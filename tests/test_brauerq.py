@@ -201,6 +201,15 @@ class TestQuadraticField:
             QuadraticField.from_rational(Fraction(4, 9))
         with pytest.raises(ValueError):
             QuadraticField(12)
+        with pytest.raises(ValueError, match="d = 1"):
+            QuadraticField(1)
+
+    def test_rejects_zero(self):
+        with pytest.raises(ZeroValuationError):
+            QuadraticField(0)
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroValuationError):
+                QuadraticField.from_rational(zero)
 
     def test_derived_fields_equal_public_ones(self):
         # from_rational and distinguishing_field build their fields without

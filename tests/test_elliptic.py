@@ -11,6 +11,7 @@ from ramgenus.elliptic import (
     NEGATIVE_COEFFICIENT_VALUATION,
     USER_ADDED,
     ExceptionalSet,
+    GenusBoundReport,
     NotSplitError,
     WeierstrassCurve,
     build_S,
@@ -57,6 +58,8 @@ class TestCurveConstruction:
             WeierstrassCurve.from_coefficients(0, -3, 2)  # repeated root
         with pytest.raises(NotSplitError):
             WeierstrassCurve.from_roots(1, 1, 2)
+        with pytest.raises(NotSplitError, match="do not match"):
+            WeierstrassCurve(0, 0, 0, (-1, 0, 1))  # x^3 against the roots of x^3 - x
 
     def test_coefficient_root_consistency(self):
         curve = WeierstrassCurve.from_roots(Fraction(1, 2), -2, 3)
@@ -100,6 +103,11 @@ class TestBuildS:
         S1 = build_S(curve)
         S2 = build_S(curve, S1.places)
         assert S1.places == S2.places
+
+    def test_set_without_the_real_place_rejected(self):
+        p3 = PlaceQ.finite(3)
+        with pytest.raises(ValueError, match="real place"):
+            ExceptionalSet((p3,), ((p3, USER_ADDED),))
 
     def test_degenerate_rejected(self):
         with pytest.raises(NotSplitError):
@@ -161,6 +169,16 @@ class TestBound:
                 roots.add(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
             report = elliptic_genus_bound(WeierstrassCurve.from_roots(*sorted(roots)))
             assert report.bound == report.two_power * report.cl_factor * report.unit_factor
+
+    def test_report_checks_its_factors(self):
+        report = elliptic_genus_bound(WeierstrassCurve.from_coefficients(0, -1, 0))
+        fields = dict(bound=report.bound, two_power=report.two_power, cl_factor=report.cl_factor,
+                      unit_factor=report.unit_factor, S=report.S, t=report.t, c=report.c)
+        assert GenusBoundReport(**fields) == report
+        with pytest.raises(ValueError, match="multiply to the bound"):
+            GenusBoundReport(**dict(fields, bound=report.bound + 1))
+        with pytest.raises(ValueError, match="c \\+ 1"):
+            GenusBoundReport(**dict(fields, t=2))
 
     def test_two_power_matches_unramified_enumeration(self):
         for roots in [(0, 1, -1), (0, 2, -3), (Fraction(1, 3), 1, 5)]:

@@ -205,6 +205,9 @@ class TestHelpers:
 
         for n in range(1, 60):
             assert euler_phi(n) == brute(n)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                euler_phi(n)
 
     def test_smallest_nonresidue(self):
         assert smallest_nonresidue(3) == 2

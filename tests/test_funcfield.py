@@ -120,6 +120,12 @@ class TestPlacesOf:
             FFPlace.finite(PolyQ.of([-1, 0, 1]))
         with pytest.raises(ValueError):
             FFPlace.finite(PolyFp.of(5, (1, 0, 1)))  # x^2 + 1 = (x - 2)(x + 2) over F_5
+        with pytest.raises(ValueError, match="char does not match"):
+            FFPlace(7, PolyFp.x(5))
+        with pytest.raises(ValueError, match="char does not match"):
+            FFPlace(5, PolyQ.x())
+        with pytest.raises(TypeError):
+            FFPlace(5, (0, 1))
         w = places_of(rf_q([1, 0, 1]))[0][0]
         assert w == FFPlace.finite(PolyQ.of([1, 0, 1]))
 
@@ -148,6 +154,15 @@ class TestRationalFunction:
                 assert f.pow(-e) == power
                 power = power * f.inverse()
 
+    def test_constructor_refusals(self):
+        with pytest.raises(TypeError):
+            RationalFunction(PolyFp.x(5), PolyQ.constant(1))
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            RationalFunction(PolyFp.x(5), PolyFp.constant(7, 1))
+        for zero in (PolyFp.of(5, (0,)), PolyQ.of([0])):
+            with pytest.raises(ZeroDivisionError):
+                RationalFunction(zero._like((0, 1)), zero)
+
     def test_coprime_high_height_quotient_reduces_at_once(self):
         # x^64 + 3 C over a random monic g of degree 64, both with 256-bit
         # coefficients: once a full primitive remainder sequence
@@ -175,6 +190,44 @@ class TestTameResidue:
         w = FFPlace.finite(PolyFp.of(3, (1, 1)))
         res = tame_residue(D, w)
         assert res.ramified is False
+
+    def test_place_over_another_base_field_rejected(self):
+        D = SymbolAlgebraFF(2, rf_fp(5, (0, 1)), rf_fp(5, (1, 1)))
+        for w in (FFPlace.infinity(7), FFPlace.finite(PolyFp.x(7)), FFPlace.infinity(0),
+                  FFPlace.finite(PolyQ.x())):
+            with pytest.raises(ValueError, match="different base fields"):
+                tame_residue(D, w)
+        with pytest.raises(ValueError, match="different base fields"):
+            tame_residue(SymbolAlgebraFF(2, rf_q([0, 1]), rf_q([1, 1])), FFPlace.infinity(5))
+
+    def test_odd_valuation_product_at_each_kind_of_place(self):
+        # v(a) v(b) odd, so -1 enters the residue: the degree place over F_5
+        # and over Q, a finite place over F_7 and one over Q
+        pi7, piq = rf_fp(7, (1, 0, 1)), rf_q([1, 0, 1])
+        cases = [
+            (SymbolAlgebraFF(2, rf_fp(5, (0, 2)), rf_fp(5, (4, 1, 0, 3))), FFPlace.infinity(5),
+             PolyFp.constant(5, 4), False),
+            (SymbolAlgebraFF(2, rf_q([0, 2]), rf_q([1, 0, 0, 3])), FFPlace.infinity(0),
+             Fraction(-3, 8), True),
+            (SymbolAlgebraFF(3, rf_fp(7, (6, 3), (1, 1)) * pi7.pow(3), rf_fp(7, (5, 2)) * pi7.pow(-1)),
+             FFPlace.finite(PolyFp.of(7, (1, 0, 1))), PolyFp.of(7, (6, 4)), True),
+            (SymbolAlgebraFF(2, rf_q([-2, 3]) * piq.pow(3), rf_q([5, 0, 1]) * piq.pow(-1)),
+             FFPlace.finite(PolyQ.of([1, 0, 1])), PolyQ.of([Fraction(1, 416), Fraction(3, 832)]),
+             True),
+        ]
+        for D, w, residue, ramified in cases:
+            assert D.a.valuation_at(w) * D.b.valuation_at(w) % 2 == 1
+            got, want = tame_residue(D, w), _residue_reference(D, w)
+            if D.char:
+                pi = PolyFp.x(D.char) if w.is_infinite else w.pi
+                assert got.ramified == (not residue_class_is_nth_power(want, pi, D.n))
+            elif w.is_infinite:
+                want = want.constant_value()
+                assert got.ramified == (not is_rational_square(want))
+            else:
+                assert got.ramified == (not qpoly.is_square_mod(want, w.pi))
+            assert got.residue_class == want == residue, str(D)
+            assert got.ramified is ramified, str(D)
 
     def test_degree_place_runs_no_irreducibility_test(self, monkeypatch):
         # the degree place is read through x -> 1/x at pi = x, which needs no
@@ -585,3 +638,15 @@ class TestGenusBound:
     def test_char_mismatch_rejected(self):
         with pytest.raises(UnsupportedFieldError):
             SymbolAlgebraFF(3, rf_fp(3, (0, 1)), rf_fp(3, (0, 1)))
+
+    def test_invalid_symbols_rejected(self):
+        x5 = rf_fp(5, (0, 1))
+        for n in (1, 0, -2):
+            with pytest.raises(ValueError, match="at least 2"):
+                SymbolAlgebraFF(n, x5, x5)
+        for a, b in ((x5, rf_fp(7, (0, 1))), (x5, rf_q([0, 1])), (rf_q([0, 1]), x5)):
+            with pytest.raises(ValueError, match="different base fields"):
+                SymbolAlgebraFF(2, a, b)
+        for a, b in ((rf_fp(5, (0,)), x5), (x5, rf_fp(5, (0,))), (rf_q([0]), rf_q([0, 1]))):
+            with pytest.raises(ZeroValuationError):
+                SymbolAlgebraFF(2, a, b)

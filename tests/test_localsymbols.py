@@ -162,6 +162,11 @@ class TestOracle:
         assert hilbert_oracle(1, 5, 7) == 1
         assert hilbert_oracle(7, 7, 7) == hilbert(7, 7, PlaceQ.finite(7))
 
+    def test_rejects_non_prime(self):
+        for p in (1, 4, 9, 15):
+            with pytest.raises(ValueError, match=f"{p} is not prime"):
+                hilbert_oracle(3, 5, p)
+
     def test_dyadic_flag(self):
         # p = 2 runs the mod-8 search with no flag
         v = PlaceQ.finite(2)
