@@ -7,14 +7,14 @@ class of the tame symbol
     t = (-1)^(v(a) v(b)) * a^(v(b)) * b^(-v(a))
 
 in the residue field modulo n-th powers: the symbol is unramified at w
-exactly when that class is trivial. At a finite place pi the class is formed
-in k[x]/(pi) from the valuations and unit parts of the entries, on int
-lists: over F_p directly, over Q on the monic integer model of the residue
-field (``qpoly``), where squareness is decided by the norm, a local sieve
-and Trager's method. At the degree place v(f) = deg den - deg num and, den being
-monic, the unit part of f is lc(num) there, so the class is a constant of k
-read off the leading coefficients. ``tame_symbol`` builds t itself in k(x),
-through x -> 1/x at the degree place, as a reference.
+exactly when that class is trivial. ``tame_residue`` forms the class at
+every place from the valuations and unit parts of the entries: at a finite
+place pi in k[x]/(pi), on int lists over F_p and on the monic integer model
+of the residue field over Q (``qpoly``), where squareness is decided by the
+norm, a local sieve and Trager's method; at the degree place, where
+v(f) = deg den - deg num and the unit part is lc(num), as a constant of k.
+``tame_symbol`` builds t itself in k(x) as a reference, through x -> 1/x at
+the degree place, so its residue there is read at (x).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -295,7 +296,8 @@ class TameResidue(Value):
 
 
 def tame_symbol(D: SymbolAlgebraFF, w: FFPlace) -> RationalFunction:
-    """(-1)^(v(a)v(b)) a^(v(b)) b^(-v(a)), a unit at w."""
+    """(-1)^(v(a)v(b)) a^(v(b)) b^(-v(a)), a unit at w. At the degree place
+    it is built in the x -> 1/x model, so its residue is read at (x)."""
     if w.is_infinite:
         a = D.a.at_infinity_model()
         b = D.b.at_infinity_model()
@@ -313,91 +315,66 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     """Residue of the symbol at w: unramified iff the tame symbol reduces to
     an n-th power in the residue field.
 
-    The residue (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a), from the valuations v
-    and unit parts u of the entries, equals ``tame_symbol(D, w).residue_at(w)``.
-    At the degree place it is the constant (-1)^(v_a v_b) lc(a)^(v_b)
-    lc(b)^(-v_a); at a finite place it is formed on int lists, over F_p
-    (``_residue_fp``) and over Q on integer models (``_residue_q``). Over
-    Q(x) squareness is decided exactly: by ``is_rational_square`` at the
-    degree place, at a finite place by the norm, a local sieve modulo a few
-    primes and Trager's method, in that order (see ``_residue_q``).
+    Each polynomial f of the entries is split as pi^v u at w, and the residue
+    is (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a). At the degree place v = -deg f and
+    u = lc f (den is monic), so the residue is a constant of k; it equals
+    ``tame_symbol(D, w).residue_at`` the place (x), as ``tame_symbol`` works
+    in the x -> 1/x model there. At a finite place it equals
+    ``tame_symbol(D, w).residue_at(w)``, formed on int lists over F_p and on
+    integer models over Q, where v counts the exact divisions of the
+    primitive part of f by that of pi (Gauss's lemma) and the residue is a
+    rational at a degree-1 place. Over Q(x) squareness is decided exactly: by
+    ``is_rational_square`` at the degree place, at a finite place by the
+    norm, a local sieve modulo a few primes and Trager's method, in that
+    order (``qpoly._is_square_z``).
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
     p = D.char
     if p == 0 and D.n != 2:
         raise UnsupportedFieldError("over Q(x) only degree-2 symbols are supported")
-    if w.is_infinite:
-        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
-        ca, cb, sign = D.a.num.leading(), D.b.num.leading(), -1 if va * vb % 2 else 1
-        residue = sign * (pow(ca, vb, p) * pow(cb, -va, p) if p else ca**vb * cb**-va)
-        pi = D.a.num._like((0, 1))
-        if p:
-            residue = PolyFp._make(p, (residue % p,))
-    elif p:
-        pi = w.pi
-        residue = PolyFp._make(p, _residue_fp(D, list(pi.coeffs), p))
-    else:
-        return _residue_q(D, w)
-    if p:
-        ramified = not residue_class_is_nth_power(residue, pi, D.n)
-    else:
-        ramified = not is_rational_square(residue)
-    return TameResidue(w, residue, ramified)
-
-
-def _residue_fp(D: SymbolAlgebraFF, pi: list[int], p: int) -> list[int]:
-    """The tame symbol at a finite place pi over F_p, on int lists: the unit
-    parts of the four polynomials of the entries enter with signed powers;
-    the positive powers are multiplied and the negative ones inverted once."""
-    parts = []
-    for poly in (D.a.num, D.a.den, D.b.num, D.b.den):
-        v, (q, r) = 0, _divmod_monic(poly.coeffs, pi, p)
-        while not r:
-            v, (q, r) = v + 1, _divmod_monic(q, pi, p)
-        parts.append((v, r))
-    va, vb = parts[0][0] - parts[1][0], parts[2][0] - parts[3][0]
-    top, bottom = [-1 if va * vb % 2 else 1], [1]
-    for (_, u), e in zip(parts, (vb, -vb, -va, va)):
-        if e > 0:
-            top = _mul(top, _pow_mod(u, e, pi, p))
-        elif e < 0:
-            bottom = _mul(bottom, _pow_mod(u, -e, pi, p))
-    return _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1]
-
-
-def _residue_q(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
-    """The tame residue at a finite place pi over Q, on integer models.
-
-    Each polynomial of the entries is c F with F primitive in Z[x]; its
-    valuation is the number of exact divisions of F by the primitive model
-    of pi (Gauss's lemma), and what is left is its unit part. The unit parts
-    with a nonzero exponent form the residue s W(theta) on the monic model of
-    the residue field (``qpoly._power_product``, one inverse at the end).
-    The verdict is a proof: the square class of s W is that of the integer
-    element s.numerator s.denominator W, decided by the norm, the local sieve
-    and Trager's method (``qpoly._is_square_z``); at a degree-1 place the
-    norm is that integer itself, and the residue is reported as a rational.
-    """
-    P, f = _monic_model(w.pi)
+    pi = None if w.is_infinite else w.pi.coeffs
+    if pi is not None and not p:
+        P, f = _monic_model(w.pi)
     vals, units = [], []
     for poly in (D.a.num, D.a.den, D.b.num, D.b.den):
-        c, F = poly.integer_model()
-        v, q = 0, _exact_quotient(F, P)
-        while q is not None:
-            v, F, q = v + 1, q, _exact_quotient(q, P)
+        if w.is_infinite:
+            v, u = -poly.degree, poly.leading()
+        elif p:
+            v, (q, u) = 0, _divmod_monic(poly.coeffs, pi, p)
+            while not u:
+                v, (q, u) = v + 1, _divmod_monic(q, pi, p)
+        else:
+            c, F = poly.integer_model()
+            v, q = 0, _exact_quotient(F, P)
+            while q is not None:
+                v, F, q = v + 1, q, _exact_quotient(q, P)
+            u = c, F
         vals.append(v)
-        units.append((c, F))
+        units.append(u)
     va, vb = vals[0] - vals[1], vals[2] - vals[3]
-    parts = [(c, F, e) for (c, F), e in zip(units, (vb, -vb, -va, va)) if e]
-    if va * vb % 2:
-        parts.append((Fraction(-1), [1], 1))
-    W, s = _power_product(f, P[-1], parts)
-    residue = _from_theta(W, s, P[-1])
-    if len(f) == 2:
-        residue = residue.constant_value()
-    scaled = [s.numerator * s.denominator * c for c in W]
-    return TameResidue(w, residue, not _is_square_z(scaled, f))
+    parts = [(u, e) for u, e in zip(units, (vb, -vb, -va, va)) if e]
+    sign = -1 if va * vb % 2 else 1
+    if w.is_infinite and p:
+        residue = PolyFp._make(p, (math.prod((pow(u, e, p) for u, e in parts), start=sign) % p,))
+        ramified = not residue_class_is_nth_power(residue, PolyFp._make(p, (0, 1)), D.n)
+    elif w.is_infinite:
+        residue = math.prod((u**e for u, e in parts), start=Fraction(sign))
+        ramified = not is_rational_square(residue)
+    elif p:
+        top = reduce(_mul, (_pow_mod(u, e, pi, p) for u, e in parts if e > 0), [sign])
+        bottom = reduce(_mul, (_pow_mod(u, -e, pi, p) for u, e in parts if e < 0), [1])
+        residue = PolyFp._make(p, _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1])
+        ramified = not residue_class_is_nth_power(residue, w.pi, D.n)
+    else:
+        if sign < 0:
+            parts.append(((Fraction(-1), [1]), 1))
+        W, s = _power_product(f, P[-1], [(c, F, e) for (c, F), e in parts])
+        residue = _from_theta(W, s, P[-1])
+        if len(f) == 2:
+            residue = residue.constant_value()
+        ramified = not _is_square_z([s.numerator * s.denominator * c for c in W], f)
+    return TameResidue(w, residue, ramified)
 
 
 def residues(D: SymbolAlgebraFF) -> list[TameResidue]:
