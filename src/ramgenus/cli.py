@@ -119,13 +119,7 @@ class _Parser:
     # expression grammar over Q(x)
 
     def parse_expr(self) -> RationalFunction:
-        sign = 1
-        while self.peek().kind in ("+", "-"):
-            if self.next().kind == "-":
-                sign = -sign
         value = self.parse_term()
-        if sign < 0:
-            value = -value
         while self.peek().kind in ("+", "-"):
             tok = self.next()
             rhs = self.parse_term()
@@ -156,7 +150,13 @@ class _Parser:
             value = value * rhs
 
     def parse_power(self) -> RationalFunction:
-        base = self.parse_atom()
+        """A signed power: the signs before it apply to the power, as in
+        Python, so -a^b is -(a^b) at the start of a term and after * or /."""
+        sign = 1
+        while self.peek().kind in ("+", "-"):
+            if self.next().kind == "-":
+                sign = -sign
+        value = self.parse_atom()
         if self.peek().kind == "^":
             self.next()
             neg = False
@@ -170,10 +170,10 @@ class _Parser:
             if e > MAX_EXPONENT:
                 raise InputSizeError(
                     f"exponent above the cap of {MAX_EXPONENT} (at position {tok.pos})")
-            n, d, h = _size(base)
+            n, d, h = _size(value)
             _cap(int(e) * max(n, d), int(e) * h, tok.pos)
-            return base.pow(-int(e) if neg else int(e))
-        return base
+            value = value.pow(-int(e) if neg else int(e))
+        return -value if sign < 0 else value
 
     def parse_atom(self) -> RationalFunction:
         tok = self.peek()
@@ -188,9 +188,6 @@ class _Parser:
             value = self.parse_expr()
             self.expect(")")
             return value
-        if tok.kind == "-":
-            self.next()
-            return -self.parse_atom()
         raise ParseError("expected a number, x, or '('", self.text, tok.pos)
 
 

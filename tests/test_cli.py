@@ -109,6 +109,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_rational("x + 1")
 
+    def test_sign_applies_to_the_power_after_it(self):
+        # -a^b is -(a^b) at the start of a term and after * or /, as in Python
+        cases = ["3*-2^2", "-2^2", "3 - -2^2", "3 + -2^2", "2*--3^2", "-3/-2^3", "3*+2^2",
+                 "2^-2*-3", "(-2)^2*-1", "-(1/2)^3/-2^-1", "1 - 2*-3^2 + 4/-2^2"]
+        for text in cases:
+            assert parse_rational(text) == eval(text.replace("^", "**")), text
+        assert parse_algebra("(x/-x^2, 3*-x^2; n=2, k=Q)") == parse_algebra(
+            "(-1/x, -3x^2; n=2, k=Q)")
+        # a long sign chain after * is read by a loop, not by recursion
+        assert parse_rational("3*" + "-" * 5001 + "2^2") == -12
+
     def test_curve_coefficient_form(self):
         curve = parse_curve("y^2 = x^3 - x")
         assert curve.roots == (Fraction(-1), Fraction(0), Fraction(1))
@@ -215,6 +226,13 @@ class TestCommands:
         report, status, fmt = run(["ramify", "(-1,3)"])
         assert status == EXIT_OK and fmt == "text"
         assert report.result["ramified_places"] == ["2", "3"]
+
+    def test_ramify_with_a_sign_after_a_product(self):
+        # (3, 2*-2^2) is (3, -8), which is split; (-1, 2*-3^2) is (-1, -18)
+        report, status, _ = run(["ramify", "(3, 2*-2^2)"])
+        assert status == EXIT_OK and report.result["ramified_places"] == []
+        report, status, _ = run(["ramify", "(-1, 2*-3^2)"])
+        assert status == EXIT_OK and report.result["ramified_places"] == ["2", "inf"]
 
     def test_ramify_with_oracle(self):
         report, status, _ = run(["ramify", "(-1,3)", "--oracle"])
