@@ -1,5 +1,7 @@
 """The base of the package's immutable value classes."""
 
+from collections import deque
+from itertools import repeat
 from operator import attrgetter
 
 
@@ -12,7 +14,8 @@ class Value:
     class. A subclass ``__init__`` validates and normalises its arguments,
     then ends with ``self._set(...)``, one value per slot in ``__slots__``
     order; ``cls._new(...)`` builds a trusted instance from such values
-    without running ``__init__``. Assigning or deleting a field afterwards
+    without running ``__init__``, and ``cls._new_many(values)`` a list of
+    trusted one-slot instances. Assigning or deleting a field afterwards
     raises ``AttributeError``. A slot named with a leading ``_`` is derived:
     it takes no part in equality, hashing, the repr or pickling."""
 
@@ -50,6 +53,13 @@ class Value:
         for setter, value in zip(cls._setters, values):
             setter(self, value)
         return self
+
+    @classmethod
+    def _new_many(cls, values: list) -> list:
+        # C-level maps: bare instances, then the one slot set through its setter
+        out = list(map(object.__new__, repeat(cls, len(values))))
+        deque(map(cls._setters[0], out, values), maxlen=0)
+        return out
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

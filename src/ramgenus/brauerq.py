@@ -9,7 +9,6 @@ nonsplit, and the sum of its local invariants vanishes (Hilbert reciprocity).
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -298,8 +297,5 @@ def enumerate_unramified(S) -> list[RamificationSet]:
             itertools.combinations(places, size) for size in range(0, len(places) + 1, 2)
         )
     )
-    # combinations of a sorted list stay sorted, so each class is built with
-    # C-level maps: a bare instance, then its slot set through the descriptor
-    classes = list(map(object.__new__, itertools.repeat(RamificationSet, len(combos))))
-    collections.deque(map(RamificationSet.places.__set__, classes, combos), maxlen=0)
-    return classes
+    # combinations of a sorted list stay sorted: the classes need no checks
+    return RamificationSet._new_many(combos)

@@ -197,7 +197,8 @@ def test_value_semantics(cls, fields, other):
 
 def test_only_the_value_module_fills_values():
     """How a value is filled is decided in ``_value`` alone: no other module
-    of the package names ``object.__setattr__``."""
+    of the package names ``object.__setattr__`` or ``object.__new__``, or
+    reaches for a slot's ``__set__``."""
     import ast
     from pathlib import Path
 
@@ -208,7 +209,8 @@ def test_only_the_value_module_fills_values():
         f"{path.name}:{node.lineno}"
         for path in modules if path.name != "_value.py"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
-        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        if isinstance(node, ast.Attribute) and (
+            node.attr == "__set__" or node.attr in ("__setattr__", "__new__")
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
     ]
     assert found == []
