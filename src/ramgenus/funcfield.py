@@ -318,8 +318,8 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     Each polynomial f of the entries is split as pi^v u at w, and the residue
     is (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a). At the degree place v = -deg f and
     u = lc f (den is monic), so the residue is a constant of k; it equals
-    ``tame_symbol(D, w).residue_at`` the place (x), as ``tame_symbol`` works
-    in the x -> 1/x model there. At a finite place it equals
+    the residue of ``tame_symbol(D, w)`` at the place (x), as ``tame_symbol``
+    works in the x -> 1/x model there. At a finite place it equals
     ``tame_symbol(D, w).residue_at(w)``, formed on int lists over F_p and on
     integer models over Q, where v counts the exact divisions of the
     primitive part of f by that of pi (Gauss's lemma) and the residue is a
