@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -317,16 +316,13 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
 
     Each polynomial f of the entries is split as pi^v u at w, and the residue
     is (-1)^(v_a v_b) u_a^(v_b) u_b^(-v_a). At the degree place v = -deg f and
-    u = lc f (den is monic), so the residue is a constant of k; it equals
-    the residue of ``tame_symbol(D, w)`` at the place (x), as ``tame_symbol``
-    works in the x -> 1/x model there. At a finite place it equals
-    ``tame_symbol(D, w).residue_at(w)``, formed on int lists over F_p and on
-    integer models over Q, where v counts the exact divisions of the
-    primitive part of f by that of pi (Gauss's lemma) and the residue is a
-    rational at a degree-1 place. Over Q(x) squareness is decided exactly: by
-    ``is_rational_square`` at the degree place, at a finite place by the
-    norm, a local sieve modulo a few primes and Trager's method, in that
-    order (``qpoly._is_square_z``).
+    u = lc f (den is monic): a constant of k, the residue of
+    ``tame_symbol(D, w)`` at (x), as that works in the x -> 1/x model there.
+    At a finite place it is ``tame_symbol(D, w).residue_at(w)``, formed on
+    int lists over F_p and over Q on integer models, where v counts exact
+    divisions by the primitive model of pi (Gauss's lemma). Over Q(x) the
+    verdict is exact: ``is_rational_square`` at the degree place, elsewhere
+    the norm, a local sieve and Trager's method (``qpoly._is_square_z``).
     """
     if w.char != D.char:
         raise ValueError("place and algebra live over different base fields")
@@ -338,7 +334,7 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         P, f = _monic_model(w.pi)
     vals, units = [], []
     for poly in (D.a.num, D.a.den, D.b.num, D.b.den):
-        if w.is_infinite:
+        if pi is None:
             v, u = -poly.degree, poly.leading()
         elif p:
             v, (q, u) = 0, _divmod_monic(poly.coeffs, pi, p)
@@ -355,15 +351,19 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     va, vb = vals[0] - vals[1], vals[2] - vals[3]
     parts = [(u, e) for u, e in zip(units, (vb, -vb, -va, va)) if e]
     sign = -1 if va * vb % 2 else 1
-    if w.is_infinite and p:
+    if pi is None and p:
         residue = PolyFp._make(p, (math.prod((pow(u, e, p) for u, e in parts), start=sign) % p,))
         ramified = not residue_class_is_nth_power(residue, PolyFp._make(p, (0, 1)), D.n)
-    elif w.is_infinite:
+    elif pi is None:
         residue = math.prod((u**e for u, e in parts), start=Fraction(sign))
         ramified = not is_rational_square(residue)
     elif p:
-        top = reduce(_mul, (_pow_mod(u, e, pi, p) for u, e in parts if e > 0), [sign])
-        bottom = reduce(_mul, (_pow_mod(u, -e, pi, p) for u, e in parts if e < 0), [1])
+        top, bottom = [sign], [1]
+        for u, e in parts:
+            if e > 0:
+                top = _mul(top, _pow_mod(u, e, pi, p))
+            else:
+                bottom = _mul(bottom, _pow_mod(u, -e, pi, p))
         residue = PolyFp._make(p, _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1])
         ramified = not residue_class_is_nth_power(residue, w.pi, D.n)
     else:
