@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ramgenus.brauerq import QuaternionQ, ramification_set
 from ramgenus.errors import PrimalityRangeError, ZeroValuationError
 from ramgenus.exactarith import (
+    _MR_BASES,
     euler_phi,
     factor,
     is_prime,
@@ -96,6 +97,25 @@ class TestFactor:
     def test_against_sympy(self, n):
         assert factor(n).as_dict() == sympy.factorint(n)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            61 * 67,  # primes on both sides of 64
+            509 * 521,  # of 512
+            2039 * 2053,  # of 2048, the trial-division bound
+            2039**3,
+            2**64,
+            3**40 * 2039,
+            2047 * 2053,  # 2047 = 23 * 89
+            2 * 4_214_807,  # a prime cofactor just below 2053^2
+            2 * 4_194_319,  # the first prime above 2048^2
+            2053 * 2063,  # the composite cofactors just above 2053^2
+            3 * 4_214_851,
+        ],
+    )
+    def test_against_sympy_at_block_edges(self, n):
+        assert factor(n).as_dict() == sympy.factorint(n)
+
     def test_composite_cofactor_past_mr_range_ramifies(self):
         p, q = 2**61 - 1, 2**31 - 1
         ram = ramification_set(QuaternionQ(p * q, 3))
@@ -172,6 +192,71 @@ class TestJacobi:
             n = rng.randrange(1, 400) * 2 + 1
             a, b = rng.randint(-500, 500), rng.randint(-500, 500)
             assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The strong probable-prime test of odd n > 2 to the base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# (k, psi_k): the least odd composite that is a strong probable prime to each
+# of the first k prime bases (Jaeschke, Math. Comp. 61, 1993; Sorenson and
+# Webster, Math. Comp. 86, 2017; OEIS A014233). psi_7 = psi_8, psi_9 = psi_10
+# = psi_11; psi_13 is the end of the deterministic range.
+PSI = [
+    (1, 2_047),
+    (2, 1_373_653),
+    (3, 25_326_001),
+    (4, 3_215_031_751),
+    (5, 2_152_302_898_747),
+    (6, 3_474_749_660_383),
+    (7, 341_550_071_728_321),
+    (8, 341_550_071_728_321),
+    (9, 3_825_123_056_546_413_051),
+    (12, 318_665_857_834_031_151_167_461),
+    (13, 3_317_044_064_679_887_385_961_981),
+]
+
+
+class TestPsiTable:
+    @pytest.mark.parametrize("k, psi", PSI)
+    def test_least_pseudoprime_is_rejected(self, k, psi):
+        assert not sympy.isprime(psi)
+        assert all(strong_probable_prime(psi, a) for a in _MR_BASES[:k])
+        if k < len(_MR_BASES):
+            assert not is_prime(psi)
+        else:
+            with pytest.raises(PrimalityRangeError):
+                is_prime(psi)
+
+    def test_against_sympy_in_every_band(self):
+        rng = random.Random(2047)
+        edges = [3] + sorted({psi for _, psi in PSI})
+        for lo, hi in zip(edges, edges[1:]):
+            for _ in range(300):
+                n = rng.randrange(lo, hi - 1) | 1  # odd, below hi
+                assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047, 3277, 4033, 4681, 8321,  # strong pseudoprimes to base 2
+            561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+        ],
+    )
+    def test_pseudoprimes_rejected(self, n):
+        assert not sympy.isprime(n)
+        assert not is_prime(n)
 
 
 class TestPrimality:
