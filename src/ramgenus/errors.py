@@ -31,6 +31,11 @@ class WitnessSearchExhausted(RamgenusError, RuntimeError):
     """The distinguishing-field search hit its bound without a witness."""
 
 
+class FactorBudgetExhausted(RamgenusError, RuntimeError):
+    """Brent-rho spent its fixed step budget without splitting a composite;
+    its smallest prime factor is too large to find in bounded time."""
+
+
 class UnsupportedFieldError(RamgenusError, ValueError):
     """The requested (base field, degree) combination is not supported."""
 

@@ -1,6 +1,12 @@
 """Integer and rational primitives: factorization, primality, Legendre/Jacobi
 symbols, p-adic valuations, and square-class helpers.
 
+``factor`` removes the primes below 2^11 by one gcd per block of them, then
+splits a proven-composite cofactor by Brent-rho under a fixed step budget.
+Miller-Rabin runs only the bases that n's size needs, read off the least
+strong pseudoprimes psi_k (Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster,
+Math. Comp. 86, 2017; OEIS A014233).
+
 Rationals are plain ``fractions.Fraction`` values throughout the package:
 Fraction already guarantees a positive denominator, a reduced representation,
 and a unique zero, which is exactly the invariant set we need.
@@ -8,26 +14,48 @@ and a unique zero, which is exactly the invariant set we need.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from ._value import Value
-from .errors import PrimalityRangeError, ZeroValuationError
+from .errors import FactorBudgetExhausted, PrimalityRangeError, ZeroValuationError
 
-# Deterministic Miller-Rabin: the first 13 prime bases certify primality for
-# all n < 3,317,044,064,679,887,385,961,981, the least strong pseudoprime to
-# all of them (Sorenson-Webster); without 41 the bound would be 3.2e23.
+# Deterministic Miller-Rabin: below psi_k, the least odd composite that is a
+# strong probable prime to each of the first k prime bases, those k bases
+# decide; _MR_K keeps the smallest k for each value (psi_7 = psi_8, psi_9 =
+# psi_11). All 13 certify primality below _MR_LIMIT = psi_13 (psi_12 ~ 3.2e23).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+           318_665_857_834_031_151_167_461)
+_MR_K = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13)  # bases needed below each psi, then all
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# factor trial-divides up to here; larger factors are left to Brent-rho
+# factor removes the primes below _TRIAL_BOUND by blocks [lo, hi), each kept
+# with the product of its primes; larger factors are left to Brent-rho
 _TRIAL_BOUND = 1 << 11
+_SIEVE = bytearray([0, 0]) + bytearray([1]) * (_TRIAL_BOUND - 2)
+for _p in range(2, isqrt(_TRIAL_BOUND) + 1):
+    if _SIEVE[_p]:
+        _SIEVE[_p * _p::_p] = bytes(len(range(_p * _p, _TRIAL_BOUND, _p)))
+_BLOCKS = tuple(
+    (lo, block, prod(block))
+    for lo, hi in ((2, 64), (64, 512), (512, _TRIAL_BOUND))
+    for block in [tuple(compress(range(lo, hi), _SIEVE[lo:hi]))]
+)
+
+# Brent-rho gives up after this many squarings: the largest split tests and
+# the benchmark need takes 51,454, a 70-bit smallest factor about 2^35
+_RHO_BUDGET = 1 << 22
 
 
 def _mr_composite(n: int) -> bool:
-    """Does some base in _MR_BASES witness that odd n > 41 is composite?
+    """Does one of the first k bases in _MR_BASES witness that odd n > 41 is
+    composite, for the smallest k with n < psi_k (all 13 from _MR_LIMIT on)?
 
-    A witness proves compositeness at any size; passing every base proves
+    A witness proves compositeness at any size; passing the bases proves
     primality only below _MR_LIMIT.
     """
     d = n - 1
@@ -35,7 +63,7 @@ def _mr_composite(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:_MR_K[bisect_right(_MR_PSI, n)]]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -77,14 +105,19 @@ def primes_after(n: int):
 def _brent_rho(n: int) -> int:
     """Find a nontrivial factor of composite odd n (Brent's cycle variant).
 
-    Deterministic: sweeps polynomial offsets c = 1, 2, ... in order.
+    Deterministic: sweeps polynomial offsets c = 1, 2, ... in order, and
+    raises FactorBudgetExhausted once _RHO_BUDGET squarings are spent.
     """
     if n % 2 == 0:
         return 2
+    budget = _RHO_BUDGET
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise FactorBudgetExhausted(f"no factor of {n} in {_RHO_BUDGET} Brent-rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -147,47 +180,44 @@ class PrimeFactorization(Value):
 def factor(n: int) -> PrimeFactorization:
     """Factor a nonzero integer.
 
-    Trial division up to 2^11; a larger cofactor is split by Brent-rho once
-    Miller-Rabin has proved it composite, and emitted as prime only when the
-    Miller-Rabin bases certify it. So the time grows with the second-largest
-    prime factor, not the largest, and a probable prime past ~3.3e24 raises
-    PrimalityRangeError instead of being emitted unproven.
+    The primes below 2^11 go by one gcd per block of them, until n < lo^2 for
+    the bottom lo of a block, when what is left is 1 or prime. A larger
+    cofactor is split by Brent-rho once Miller-Rabin has proved it composite,
+    and emitted as prime only when the Miller-Rabin bases certify it. So the
+    time grows with the second-largest prime factor, not the largest; a
+    probable prime past ~3.3e24 raises PrimalityRangeError instead of being
+    emitted unproven, and a split past the rho budget FactorBudgetExhausted.
     """
     if n == 0:
         raise ZeroValuationError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
     counts: dict[int, int] = {}
-
-    def bump(p: int, e: int = 1) -> None:
-        counts[p] = counts.get(p, 0) + e
-
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-            bump(p)
-    d = 7
-    # wheel over residues coprime to 30
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d <= _TRIAL_BOUND and d * d <= n:
-        while n % d == 0:
-            n //= d
-            bump(d)
-        d += wheel[i]
-        i = (i + 1) % 8
-    # no prime below d divides what is left, so any m < d*d left is prime
+    for lo, block, product in _BLOCKS:
+        if n < lo * lo:
+            break
+        g = gcd(n, product)  # squarefree; past p*p > g it is 1 or prime
+        for p in block:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                counts[p], n = _p_split(n, p)
+        if g > 1:
+            counts[g], n = _p_split(n, g)
+    else:
+        lo = _TRIAL_BOUND
+    # no prime below lo divides what is left, so any m < lo*lo left is prime
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m >= d * d and _mr_composite(m):
+        if m >= lo * lo and _mr_composite(m):
             g = _brent_rho(m)
-            stack.append(g)
-            stack.append(m // g)
+            stack += (g, m // g)
         elif m >= _MR_LIMIT:
             raise _range_error(m)
         else:
-            bump(m)
+            counts[m] = counts.get(m, 0) + 1
     return PrimeFactorization(sign, tuple(sorted(counts.items())))
 
 

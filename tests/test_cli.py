@@ -352,6 +352,14 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 5
         assert f"cap of {MAX_EXPONENT}" in capsys.readouterr().err
 
+    def test_entry_past_the_rho_budget_fails_at_once(self, capsys):
+        # the product of the primes after 2^70 and 2^71
+        n = 2_787_593_149_816_327_892_763_980_872_944_807_277_756_691
+        start = time.perf_counter()
+        assert main(["ramify", f"({n}, 3)"]) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 5
+        assert "Brent-rho steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["((x+1)^256)^256", "((x+1)^256)^2", "(x+1)^256 (x+1)^256"])
     def test_degree_above_the_cap_fails_at_once(self, entry, capsys):
         start = time.perf_counter()

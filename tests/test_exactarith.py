@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramgenus.brauerq import QuaternionQ, ramification_set
-from ramgenus.errors import PrimalityRangeError, ZeroValuationError
+from ramgenus.errors import FactorBudgetExhausted, PrimalityRangeError, ZeroValuationError
 from ramgenus.exactarith import (
     _MR_BASES,
     euler_phi,
@@ -120,6 +121,14 @@ class TestFactor:
         p, q = 2**61 - 1, 2**31 - 1
         ram = ramification_set(QuaternionQ(p * q, 3))
         assert {v.p for v in ram} == {q, p}
+
+    def test_rho_gives_up_past_its_budget(self):
+        # the primes after 2^70 and 2^71: rho would need about 2^35 steps
+        n = sympy.nextprime(2**70) * sympy.nextprime(2**71)
+        start = time.perf_counter()
+        with pytest.raises(FactorBudgetExhausted):
+            factor(n)
+        assert time.perf_counter() - start < 5
 
     def test_unproven_prime_is_not_emitted(self):
         with pytest.raises(PrimalityRangeError):

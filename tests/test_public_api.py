@@ -16,6 +16,7 @@ EXPORTS = [
     "ExceptionalSet",
     "FFGenusBound",
     "FFPlace",
+    "FactorBudgetExhausted",
     "GenusBoundReport",
     "LocalInvariant",
     "LocalSquareClass",
