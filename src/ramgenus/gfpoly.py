@@ -227,7 +227,12 @@ class _Poly(Value):
         if e < 0:
             return self.pow_mod(-e, modulus)._inverse(modulus)
         base = self % modulus
-        return _power(base, e, lambda u, v: u * v % modulus) if e else self._like((1,)) % modulus
+        return base._power_mod(e, modulus) if e else self._like((1,)) % modulus
+
+    def _power_mod(self, e: int, modulus):
+        """self^e mod modulus for e >= 1 and a reduced self, by ring products
+        and remainders; a ring with a faster kernel overrides it."""
+        return _power(self, e, lambda u, v: u * v % modulus)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -338,6 +343,11 @@ class PolyFp(_Poly):
         for c in reversed(self.coeffs):
             acc = (acc * x0 + c) % self.p
         return acc
+
+    def _power_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
+        """The power on int lists, modulo the monic associate of modulus."""
+        p = self.p
+        return PolyFp._make(p, _pow_mod(self.coeffs, e, _monic(modulus.coeffs, p), p))
 
     pow_mod = _Poly.pow_mod  # bench/spans.py wraps PolyFp.__dict__["pow_mod"]
 
