@@ -352,7 +352,11 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
     parts = [(u, e) for u, e in zip(units, (vb, -vb, -va, va)) if e]
     sign = -1 if va * vb % 2 else 1
     if pi is None and p:
-        residue = PolyFp._make(p, (math.prod((pow(u, e, p) for u, e in parts), start=sign) % p,))
+        c = sign
+        for u, e in parts:
+            if u != 1:  # as every den's part here: den is monic
+                c = c * pow(u, e, p) % p
+        residue = PolyFp._make(p, (c % p,))
         ramified = not residue_class_is_nth_power(residue, PolyFp._make(p, (0, 1)), D.n)
     elif pi is None:
         residue = math.prod((u**e for u, e in parts), start=Fraction(sign))
