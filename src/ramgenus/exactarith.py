@@ -46,8 +46,8 @@ _BLOCKS = tuple(
     for block in [tuple(compress(range(lo, hi), _SIEVE[lo:hi]))]
 )
 
-# Brent-rho gives up after this many squarings: the largest split tests and
-# the benchmark need takes 51,454, a 70-bit smallest factor about 2^35
+# Brent-rho's step budget, counted 2r per round of length r: the largest split
+# in tests or the benchmark counts 65,534; a 70-bit least factor needs ~2^35
 _RHO_BUDGET = 1 << 22
 
 
