@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -30,9 +31,8 @@ from .gfpoly import (
     PolyFp,
     _divmod_monic,
     _inv_mod,
-    _mul,
-    _pow_mod,
     _power,
+    _product_mod,
     fq_inv,
     is_irreducible_fp,
     poly_factor_fp,
@@ -349,26 +349,27 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         vals.append(v)
         units.append(u)
     va, vb = vals[0] - vals[1], vals[2] - vals[3]
-    parts = [(u, e) for u, e in zip(units, (vb, -vb, -va, va)) if e]
+    # a unit 1 adds nothing: every den's at the degree place (den is monic),
+    # and a polynomial entry's den at a finite place over F_p
+    parts = [(u, e) for u, e in zip(units, (vb, -vb, -va, va)) if e and u not in (1, [1])]
     sign = -1 if va * vb % 2 else 1
     if pi is None and p:
         c = sign
         for u, e in parts:
-            if u != 1:  # as every den's part here: den is monic
-                c = c * pow(u, e, p) % p
+            c = c * pow(u, e, p) % p
         residue = PolyFp._make(p, (c % p,))
         ramified = not residue_class_is_nth_power(residue, PolyFp._make(p, (0, 1)), D.n)
     elif pi is None:
         residue = math.prod((u**e for u, e in parts), start=Fraction(sign))
         ramified = not is_rational_square(residue)
     elif p:
-        top, bottom = [sign], [1]
-        for u, e in parts:
-            if e > 0:
-                top = _mul(top, _pow_mod(u, e, pi, p))
-            else:
-                bottom = _mul(bottom, _pow_mod(u, -e, pi, p))
-        residue = PolyFp._make(p, _divmod_monic(_mul(top, _inv_mod(bottom, pi, p)), pi, p)[1])
+        product = _product_mod(pi, p)
+        top = [_power(u, e, product) for u, e in parts if e > 0]
+        bottom = [_power(u, -e, product) for u, e in parts if e < 0]
+        if bottom:
+            top.append(_inv_mod(reduce(product, bottom), pi, p))
+        unit = reduce(product, top) if top else [1]
+        residue = PolyFp._make(p, [c * sign % p for c in unit])
         ramified = not residue_class_is_nth_power(residue, w.pi, D.n)
     else:
         if sign < 0:

@@ -7,9 +7,14 @@ immutable; every operation returns a fresh polynomial.
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``_add_mod``, ``_divmod_monic``, the monic ``_gcd``, the inverse
 ``_inv_mod``; ``qpoly``'s products, Hensel lifting and inverse share them),
-reduced once per product. Only the public constructors (``PolyFp(...)``, ``of``,
-``constant``, ``x``) check p and reduce coefficients; ring operations build
-their results with the trusted ``PolyFp._make`` (over ``Value._new``).
+reduced once per product. Repeated products modulo one monic f and prime p
+(``_product_mod``: powers, the Frobenius table, norms, tame residues) pack
+each list into one int at 64 bits per coefficient, multiply once and reduce
+word by word, whenever 2 deg(f) p^2 < 2^64, the word bound; past it they are
+``_divmod_monic(_mul(u, v), f, p)``. Only the public constructors
+(``PolyFp(...)``, ``of``, ``constant``, ``x``) check p and reduce
+coefficients; ring operations build their results with the trusted
+``PolyFp._make`` (over ``Value._new``).
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly``, every operation that
 does not depend on the ring, and ``fq_inv``, the inverse in k[x]/(pi). Each
@@ -31,8 +36,10 @@ n = 2 test does.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import gcd as int_gcd
 from operator import mul
+from struct import Struct
 
 from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
@@ -166,9 +173,78 @@ def _power(base, e: int, mul):
     return out
 
 
+# -- word-packed products ------------------------------------------------------
+#
+# A reduced polynomial packs into one int at 64 bits per coefficient, so one
+# bignum product replaces the double loop of ``_mul`` (Kronecker substitution;
+# von zur Gathen-Gerhard, section 8.4). Modulo a monic f of degree n and m,
+# a word of such a product sums at most n terms below m^2, the reduction in
+# ``_product_mod`` adds at most n more, and a Frobenius row sum has n terms:
+# no word reaches 2 n m^2, so below 2^64, the word bound, none carries.
+
+_WORD = (1 << 64) - 1
+
+
+def _fits_words(n: int, m: int) -> bool:
+    """The word bound for products modulo a degree-n polynomial and m."""
+    return 2 * n * m * m < 1 << 64
+
+
+@cache
+def _words(k: int) -> Struct:
+    return Struct(f"<{k}Q")
+
+
+def _pack(a) -> int:
+    return int.from_bytes(_words(len(a)).pack(*a), "little")
+
+
+def _unpack(w: int, n: int, m: int) -> list[int]:
+    """The low n words of w, each reduced mod m."""
+    return _trim([c % m for c in _words(n).unpack(w.to_bytes(8 * n, "little"))])
+
+
+def _product_mod(f: list[int], m: int):
+    """(u, v) -> u v mod (f, m) for a monic f and reduced u, v. Within the word
+    bound the packed product is reduced from its top word k = deg(u v) down
+    to n = deg f: word k stands for c x^k, c its value mod m, and
+    x^k = x^(k-n) g modulo f for g = x^n - f, so c x^(k-n) g, g packed with
+    entries in [0, m), is added below it; the words from n up are dropped at
+    the end, and no word goes negative. Past the bound, ``_divmod_monic``."""
+    n = len(f) - 1
+    if not _fits_words(n, m):
+        return lambda u, v: _divmod_monic(_mul(u, v), f, m)[1]
+    g, low = _pack([-c % m for c in f[:-1]]), (1 << 64 * n) - 1
+
+    def product(u, v):
+        if not u or not v:
+            return []
+        w = _pack(u)
+        w *= w if u is v else _pack(v)
+        for k in range(len(u) + len(v) - 2, n - 1, -1):
+            c = (w >> 64 * k & _WORD) % m
+            if c:
+                w += c * g << 64 * (k - n)
+        return _unpack(w & low, n, m)
+
+    return product
+
+
 def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
     """a^e mod (f, p) for e >= 1 and a monic f."""
-    return _power(_divmod_monic(a, f, p)[1], e, lambda u, v: _divmod_monic(_mul(u, v), f, p)[1])
+    return _power(_divmod_monic(a, f, p)[1], e, _product_mod(f, p))
+
+
+def _norm_power(r: list[int], d: int, frob, f: list[int], p: int) -> list[int]:
+    """r^((p^d - 1)/2) mod (f, p) for odd p and a reduced r: the norm
+    r^(1 + p + ... + p^(d-1)) by d - 1 steps of ``frob``, the Frobenius
+    modulo a multiple of f, raised to (p - 1)/2."""
+    product = _product_mod(f, p)
+    t = norm = r
+    for _ in range(d - 1):
+        t = _divmod_monic(frob(t), f, p)[1]
+        norm = product(norm, t)
+    return _power(norm, (p - 1) // 2, product)
 
 
 class _Poly(Value):
@@ -403,11 +479,16 @@ def _frobenius(f: list[int], p: int):
     """h -> h^p mod f, for a monic f of degree n >= 2 and deg h < n: Frobenius
     is F_p-linear, so it is applied from the table x^(i p) mod f, i < n (von
     zur Gathen-Gerhard, ch. 14), built from one power by p and n - 2
-    products. One more remainder gives h^p modulo a divisor of f."""
+    products; within the word bound as one sum of packed rows h_i x^(i p).
+    One more remainder gives h^p modulo a divisor of f."""
     n = len(f) - 1
-    rows = [[1], _pow_mod([0, 1], p, f, p)]
+    product = _product_mod(f, p)
+    rows = [[1], _power([0, 1], p, product)]
     for _ in range(n - 2):
-        rows.append(_divmod_monic(_mul(rows[-1], rows[1]), f, p)[1])
+        rows.append(product(rows[-1], rows[1]))
+    if _fits_words(n, p):
+        packed = [_pack(row) for row in rows]
+        return lambda h: _unpack(sum(map(mul, h, packed)), n, p)
     cols = list(zip(*(row + [0] * (n - len(row)) for row in rows)))
     return lambda h: _trim([sum(map(mul, h, col)) % p for col in cols])
 
@@ -444,12 +525,13 @@ def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) 
         r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if len(r) < 2:
             continue
-        t = acc = r
-        for _ in range(d - 1):
-            t = _divmod_monic(frob(t), f, p)[1]
-            acc = _add_mod(acc, t, p) if p == 2 else _divmod_monic(_mul(acc, t), f, p)[1]
-        if p != 2:
-            acc = _add_mod(_pow_mod(acc, (p - 1) // 2, f, p), [1], p, -1)
+        if p == 2:
+            t = acc = r
+            for _ in range(d - 1):
+                t = _divmod_monic(frob(t), f, p)[1]
+                acc = _add_mod(acc, t, p)
+        else:
+            acc = _add_mod(_norm_power(r, d, frob, f, p), [1], p, -1)
         g = _gcd(f, acc, p)
         if 1 < len(g) < len(f):
             return _equal_degree_split(g, d, frob, p, rng) + _equal_degree_split(

@@ -40,7 +40,7 @@ from .errors import ZeroValuationError
 from .exactarith import primes_after
 from .gfpoly import (
     PolyFp, _add_mod, _check_char, _divmod_monic, _equal_degree_split, _gcd, _inv_mod, _mul,
-    _mul_mod, _Poly, _pow_mod, _power, _squarefree_ddf, _trim,
+    _mul_mod, _norm_power, _Poly, _power, _squarefree_ddf, _trim,
 )
 
 class PolyQ(_Poly):
@@ -580,11 +580,7 @@ def _local_nonsquare(r: list[int], f: list[int]) -> bool:
             g = _divmod_monic(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
             if len(g) == 1:
                 continue
-            t = n = _divmod_monic(rp, g, p)[1]
-            for _ in range(k - 1):
-                t = _divmod_monic(frob(t), g, p)[1]
-                n = _divmod_monic(_mul(n, t), g, p)[1]
-            if _pow_mod(n, (p - 1) // 2, g, p) != [1]:
+            if _norm_power(_divmod_monic(rp, g, p)[1], k, frob, g, p) != [1]:
                 return True
     return False
 

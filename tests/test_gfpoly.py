@@ -1,14 +1,21 @@
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.gfpoly import (
     PolyFp,
+    _divmod_monic,
+    _fits_words,
+    _frobenius,
+    _mul,
+    _power,
+    _product_mod,
     _squarefree_ddf,
     _norm,
+    _trim,
     fq_inv,
     is_irreducible_fp,
     is_square_fq,
@@ -95,6 +102,71 @@ class TestArithmetic:
             for e in (1, 2, 3):
                 inv = f.pow_mod(-e, modulus)
                 assert inv.degree < modulus.degree and inv * powers[e] % modulus == powers[0]
+
+
+def list_product_mod(f, m):
+    """Reference for ``_product_mod``: the unpacked list kernel."""
+    return lambda u, v: _divmod_monic(_mul(u, v), f, m)[1]
+
+
+def random_reduced(rng, m, n):
+    """A random int list of degree below n, entries in [0, m), trimmed."""
+    return _trim([rng.randrange(m) for _ in range(rng.randint(1, n))])
+
+
+def last_inside_word_bound(n):
+    """The largest m with 2 n m^2 < 2^64."""
+    return isqrt((2**63 - 1) // n)
+
+
+class TestWordPackedProducts:
+    """Products modulo a fixed f and m, packed at 64 bits per coefficient
+    within the word bound 2 deg(f) m^2 < 2^64 and on lists past it, against
+    the list kernel."""
+
+    MODULI = (2, 3, 10007, 2**31 - 1, 2**61 - 1)
+    DEGREES = (1, 2, 3, 10, 64, 256)
+
+    @staticmethod
+    def check(f, m, rng):
+        n, product, want = len(f) - 1, _product_mod(f, m), list_product_mod(f, m)
+        top = [m - 1] * n  # every word at its largest
+        operands = [[], [rng.randrange(1, m)], [m - 1], top]
+        operands += [random_reduced(rng, m, n) for _ in range(3)]
+        for u in operands:
+            for v in operands:  # u is v on the diagonal, where one pack is squared
+                assert product(u, v) == want(u, v), (m, n, u, v)
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_against_the_list_kernel(self, n):
+        rng = random.Random(61 + n)
+        for m in self.MODULI:
+            self.check([rng.randrange(m) for _ in range(n)] + [1], m, rng)
+            self.check([1] * (n + 1), m, rng)  # x^n - f is m - 1 in every word
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_either_side_of_the_word_bound(self, n):
+        rng = random.Random(67 + n)
+        last = last_inside_word_bound(n)
+        assert _fits_words(n, last) and not _fits_words(n, last + 1)
+        for m in (last, last + 1):
+            self.check([1] * (n + 1), m, rng)
+            self.check([rng.randrange(m) for _ in range(n)] + [1], m, rng)
+
+    @pytest.mark.parametrize("n", (2, 3, 10, 64))
+    def test_frobenius_against_the_pth_power(self, n):
+        # the table's map h -> h^p, packed rows or columns, against h^p by
+        # list products; at 10, the primes either side of the word bound
+        from sympy import nextprime, prevprime
+
+        rng = random.Random(71 + n)
+        last = last_inside_word_bound(n)
+        primes = self.MODULI + ((prevprime(last + 1), nextprime(last)) if n == 10 else ())
+        for p in primes:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            frob, want = _frobenius(f, p), list_product_mod(f, p)
+            for h in ([], [rng.randrange(1, p)], [p - 1] * n, random_reduced(rng, p, n)):
+                assert frob(h) == (_power(h, p, want) if h else []), (p, n, h)
 
 
 class TestPublicConstructor:
@@ -233,7 +305,9 @@ class TestSquarefreeDdf:
 
 
 class TestFactorAgainstSympy:
-    PRIMES = (2, 3, 101, 10007)
+    # products modulo a squarefree part are packed at 10007 and, past degree
+    # 2, on lists at 2^31 - 1 (the word bound)
+    PRIMES = (2, 3, 101, 10007, 2**31 - 1)
 
     def test_random_polynomials(self):
         rng = random.Random(41)
