@@ -32,7 +32,7 @@ class WitnessSearchExhausted(RamgenusError, RuntimeError):
 
 
 class FactorBudgetExhausted(RamgenusError, RuntimeError):
-    """Brent-rho spent its fixed step budget without splitting a composite;
+    """Brent-rho spent its fixed budget without splitting a composite;
     its smallest prime factor is too large to find in bounded time."""
 
 

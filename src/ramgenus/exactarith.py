@@ -2,10 +2,10 @@
 symbols, p-adic valuations, and square-class helpers.
 
 ``factor`` removes the primes below 2^11 by one gcd per block of them, then
-splits a proven-composite cofactor by Brent-rho under a fixed step budget.
-Miller-Rabin runs only the bases that n's size needs, read off the least
-strong pseudoprimes psi_k (Jaeschke, Math. Comp. 61, 1993; Sorenson-Webster,
-Math. Comp. 86, 2017; OEIS A014233).
+splits a proven-composite cofactor by Brent-rho under a fixed budget of word
+squarings. Miller-Rabin runs only the bases that n's size needs, read off the
+least strong pseudoprimes psi_k (Jaeschke, Math. Comp. 61, 1993;
+Sorenson-Webster, Math. Comp. 86, 2017; OEIS A014233).
 
 Rationals are plain ``fractions.Fraction`` values throughout the package:
 Fraction already guarantees a positive denominator, a reduced representation,
@@ -46,8 +46,11 @@ _BLOCKS = tuple(
     for block in [tuple(compress(range(lo, hi), _SIEVE[lo:hi]))]
 )
 
-# Brent-rho's step budget, counted 2r per round of length r: the largest split
-# in tests or the benchmark counts 65,534; a 70-bit least factor needs ~2^35
+# Brent-rho's budget in word squarings: a round of length r takes 2r steps, each
+# a squaring modulo n charged ceil(bits(n)/64)^2, so the time per unit stays
+# about flat as n grows. The largest split in tests, psi_12 (79 bits), costs
+# 2,097,144 (524,286 steps), the benchmark's, a 92-bit cofactor, 262,136;
+# a 70-bit least factor needs ~2^35 steps
 _RHO_BUDGET = 1 << 22
 
 
@@ -106,18 +109,19 @@ def _brent_rho(n: int) -> int:
     """Find a nontrivial factor of composite odd n (Brent's cycle variant).
 
     Deterministic: sweeps polynomial offsets c = 1, 2, ... in order, and
-    raises FactorBudgetExhausted once _RHO_BUDGET squarings are spent.
+    raises FactorBudgetExhausted once _RHO_BUDGET word squarings are spent,
+    each step charged ceil(bits(n)/64)^2 of them.
     """
     if n % 2 == 0:
         return 2
-    budget = _RHO_BUDGET
+    budget, cost = _RHO_BUDGET, (-(-n.bit_length() // 64)) ** 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
-            budget -= 2 * r
+            budget -= 2 * r * cost
             if budget < 0:
-                raise FactorBudgetExhausted(f"no factor of {n} in {_RHO_BUDGET} Brent-rho steps")
+                raise FactorBudgetExhausted(f"no factor of {n} in {_RHO_BUDGET // cost} Brent-rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

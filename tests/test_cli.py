@@ -360,6 +360,17 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 5
         assert "Brent-rho steps" in capsys.readouterr().err
 
+    def test_2048_bit_entry_past_the_rho_budget_fails_at_once(self, capsys):
+        # the budget counts word squarings, so a product of two 1024-bit
+        # primes, inside the coefficient cap, is given up in seconds
+        import sympy
+
+        n = sympy.nextprime(2**1023) * sympy.nextprime(2**1024)
+        start = time.perf_counter()
+        assert main(["ramify", f"({n}, 3)"]) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 10
+        assert "Brent-rho steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["((x+1)^256)^256", "((x+1)^256)^2", "(x+1)^256 (x+1)^256"])
     def test_degree_above_the_cap_fails_at_once(self, entry, capsys):
         start = time.perf_counter()

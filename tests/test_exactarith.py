@@ -130,6 +130,16 @@ class TestFactor:
             factor(n)
         assert time.perf_counter() - start < 5
 
+    def test_rho_budget_counts_word_squarings(self):
+        # a 2048-bit semiprime: each step squares modulo n, 32^2 word
+        # squarings, so the budget runs out after 4,096 steps, not 2^22
+        n = sympy.nextprime(2**1023) * sympy.nextprime(2**1024)
+        assert n.bit_length() == 2048
+        start = time.perf_counter()
+        with pytest.raises(FactorBudgetExhausted, match="in 4096 Brent-rho steps"):
+            factor(n)
+        assert time.perf_counter() - start < 10
+
     def test_unproven_prime_is_not_emitted(self):
         with pytest.raises(PrimalityRangeError):
             factor(2**89 - 1)
