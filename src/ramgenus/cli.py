@@ -137,7 +137,7 @@ class _Parser:
                 rhs = self.parse_power()
                 if tok.kind == "/":
                     if rhs.is_zero():
-                        raise ParseError("division by zero", self.text, self.peek().pos)
+                        raise ParseError("division by zero", self.text, tok.pos)
                     rhs = rhs.inverse()
             elif tok.kind == "num" or tok.kind == "(" or (
                 tok.kind == "name" and tok.value == "x"
@@ -158,7 +158,7 @@ class _Parser:
                 sign = -sign
         value = self.parse_atom()
         if self.peek().kind == "^":
-            self.next()
+            caret = self.next()
             neg = False
             if self.peek().kind == "-":
                 self.next()
@@ -167,6 +167,8 @@ class _Parser:
             e = tok.value
             if e.denominator != 1:
                 raise ParseError("exponent must be an integer", self.text, tok.pos)
+            if neg and e and value.is_zero():
+                raise ParseError("division by zero", self.text, caret.pos)
             if e > MAX_EXPONENT:
                 raise InputSizeError(
                     f"exponent above the cap of {MAX_EXPONENT} (at position {tok.pos})")
@@ -222,8 +224,6 @@ def _to_fp(rf: RationalFunction, p: int, text: str, pos: int) -> RationalFunctio
         den = rf.den.reduce_mod(p)
     except ZeroDivisionError:
         raise ParseError(f"entry is not p-integral at {p}", text, pos)
-    if den.is_zero():
-        raise ParseError(f"denominator vanishes mod {p}", text, pos)
     return RationalFunction(num, den)
 
 
@@ -380,7 +380,7 @@ def _fmt_value(value, notes_by_key: dict | None = None, indent: str = "  ") -> l
                 lines.extend(_fmt_value(val, None, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {val}{note}")
-    elif isinstance(value, list):
+    else:
         if not value:
             lines.append(f"{indent}(none)")
         for val in value:
@@ -389,12 +389,8 @@ def _fmt_value(value, notes_by_key: dict | None = None, indent: str = "  ") -> l
                 if sub:
                     sub[0] = indent + "- " + sub[0].lstrip()
                 lines.extend(sub)
-            elif isinstance(val, list):
-                lines.append(f"{indent}- " + ", ".join(str(v) for v in val))
             else:
                 lines.append(f"{indent}- {val}")
-    else:
-        lines.append(f"{indent}{value}")
     return lines
 
 

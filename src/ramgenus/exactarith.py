@@ -112,8 +112,6 @@ def _brent_rho(n: int) -> int:
     raises FactorBudgetExhausted once _RHO_BUDGET word squarings are spent,
     each step charged ceil(bits(n)/64)^2 of them.
     """
-    if n % 2 == 0:
-        return 2
     budget, cost = _RHO_BUDGET, (-(-n.bit_length() // 64)) ** 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1

@@ -33,7 +33,6 @@ from .gfpoly import (
     _inv_mod,
     _power,
     _product_mod,
-    fq_inv,
     is_irreducible_fp,
     poly_factor_fp,
     residue_class_is_nth_power,
@@ -202,7 +201,7 @@ class RationalFunction(Value):
         n, d = self.num % pi, self.den % pi
         if n.is_zero() or d.is_zero():
             raise ZeroValuationError(f"{self} is not a unit at {place}")
-        return n * fq_inv(d, pi) % pi
+        return n * d.pow_mod(-1, pi) % pi
 
     def __str__(self) -> str:
         if self.den.is_constant():

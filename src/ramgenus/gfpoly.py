@@ -8,16 +8,16 @@ Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
 ``_add_mod``, ``_divmod_monic``, the monic ``_gcd``, the inverse
 ``_inv_mod``; ``qpoly``'s products, Hensel lifting and inverse share them),
 reduced once per product. Repeated products modulo one monic f and prime p
-(``_product_mod``: powers, the Frobenius table, norms, tame residues) pack
-each list into one int at 64 bits per coefficient, multiply once and reduce
-word by word, whenever 2 deg(f) p^2 < 2^64, the word bound; past it they are
-``_divmod_monic(_mul(u, v), f, p)``. Only the public constructors
+(``_product_mod``: power-class tests, the Frobenius table, norms, tame
+residues) pack each list into one int at 64 bits per coefficient, multiply
+once and reduce word by word, whenever 2 deg(f) p^2 < 2^64, the word bound;
+past it they are ``_divmod_monic(_mul(u, v), f, p)``. Only the public constructors
 (``PolyFp(...)``, ``of``, ``constant``, ``x``) check p and reduce
 coefficients; ring operations build their results with the trusted
 ``PolyFp._make`` (over ``Value._new``).
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly``, every operation that
-does not depend on the ring, and ``fq_inv``, the inverse in k[x]/(pi). Each
+does not depend on the ring, ``pow_mod`` on ring products among them. Each
 runs its ring kernels, gcd and inverse on ints, PolyFp on residues mod p and
 PolyQ on its stored integer model. Every power, over F_p, Q and k(x), is
 the one square-and-multiply ``_power``.
@@ -230,11 +230,6 @@ def _product_mod(f: list[int], m: int):
     return product
 
 
-def _pow_mod(a, e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod (f, p) for e >= 1 and a monic f."""
-    return _power(_divmod_monic(a, f, p)[1], e, _product_mod(f, p))
-
-
 def _norm_power(r: list[int], d: int, frob, f: list[int], p: int) -> list[int]:
     """r^((p^d - 1)/2) mod (f, p) for odd p and a reduced r: the norm
     r^(1 + p + ... + p^(d-1)) by d - 1 steps of ``frob``, the Frobenius
@@ -297,18 +292,14 @@ class _Poly(Value):
         return self._like(_trim(list(self.coeffs[::-1])))
 
     def pow_mod(self, e: int, modulus):
-        """self^e in k[x]/(modulus), left to right; for e < 0 the inverse of
-        self^(-e). The first remainder refuses a zero modulus, and over F_p
-        one of another characteristic; k[x]/(c) is 0 for a constant c."""
+        """self^e in k[x]/(modulus) by ring products; for e < 0 the inverse of
+        self^(-e). The first remainder refuses a zero modulus, and over F_p one
+        of another characteristic; k[x]/(c) is 0 for a constant c."""
         if e < 0:
             return self.pow_mod(-e, modulus)._inverse(modulus)
-        base = self % modulus
-        return base._power_mod(e, modulus) if e else self._like((1,)) % modulus
-
-    def _power_mod(self, e: int, modulus):
-        """self^e mod modulus for e >= 1 and a reduced self, by ring products
-        and remainders; a ring with a faster kernel overrides it."""
-        return _power(self, e, lambda u, v: u * v % modulus)
+        if not e:
+            return self._like((1,)) % modulus
+        return _power(self % modulus, e, lambda u, v: u * v % modulus)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -420,21 +411,10 @@ class PolyFp(_Poly):
             acc = (acc * x0 + c) % self.p
         return acc
 
-    def _power_mod(self, e: int, modulus: "PolyFp") -> "PolyFp":
-        """The power on int lists, modulo the monic associate of modulus."""
-        p = self.p
-        return PolyFp._make(p, _pow_mod(self.coeffs, e, _monic(modulus.coeffs, p), p))
-
     pow_mod = _Poly.pow_mod  # bench/spans.py wraps PolyFp.__dict__["pow_mod"]
 
 
 # -- residue field k[x]/(pi) ---------------------------------------------------
-
-
-def fq_inv(a: _Poly, pi: _Poly) -> _Poly:
-    """Inverse of a modulo pi: over F_p by the extended Euclidean algorithm
-    on int lists, over Q on the monic integer model (``qpoly._inv_z``)."""
-    return a._inverse(pi)
 
 
 def is_square_fq(r: PolyFp, pi: PolyFp) -> bool:
@@ -469,7 +449,7 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
     g = int_gcd(n, q - 1)
     if (p - 1) % g == 0:
         return pow(_norm(m, r, p), (p - 1) // g, p) == 1
-    return _pow_mod(r, (q - 1) // g, m, p) == [1]
+    return _power(r, (q - 1) // g, _product_mod(m, p)) == [1]
 
 
 # -- factorization over F_p ---------------------------------------------------

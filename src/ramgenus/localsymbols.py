@@ -289,12 +289,7 @@ def _oracle_search(p: int, va: int, ua: int, vb: int, ub: int) -> int:
         if not nxt:
             return -1
         frontier = nxt
-    if frontier:  # pragma: no cover - cannot happen if k >= 2*e_max + 1
-        raise ArithmeticError("oracle search did not converge")
-    return -1
-
-
-_ORACLE_PRIMES: set[int] = set()
+    raise ArithmeticError("oracle search did not converge")  # pragma: no cover - k >= 2*e_max + 1
 
 
 def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
@@ -310,10 +305,8 @@ def hilbert_oracle(a: Fraction | int, b: Fraction | int, p: int) -> int:
     bn, bd = _num_den(b)
     if not an or not bn:
         raise ZeroValuationError("Hilbert symbol needs nonzero entries")
-    if p not in _ORACLE_PRIMES:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        _ORACLE_PRIMES.add(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     va, ua = _local_split(an, ad, p)
     vb, ub = _local_split(bn, bd, p)
     if va % 2 and vb % 2:  # (p a', p b') -> (-a' b', p a'), see above

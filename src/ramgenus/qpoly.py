@@ -19,7 +19,7 @@ recombination of lifted factors checked by exact division.
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
 Z[theta]/(f), theta = lc(P) x for the primitive model P of pi: products are
 exact remainders by the monic f, powers are ``gfpoly._power`` over those
-products, and the inverse of b (``fq_inv``, through ``PolyQ._inverse``) is
+products, and the inverse of b (``PolyQ._inverse``, or ``pow_mod(-1, pi)``) is
 v / res with res = Res(f, b) and v integral, lifted p-adically past a
 Hadamard bound (``_inv_z``). Squareness in K is decided by the norm,
 a local sieve modulo a few primes and Trager's norm method, in that order

@@ -50,6 +50,7 @@ class TestParsing:
         D = parse_algebra("((x^2+1)/x, x - 1; n=2, k=Q)")
         assert D.char == 0
         assert str(D.a.num) == "x^2 + 1" and str(D.a.den) == "x"
+        assert str(D) == "((x^2 + 1)/(x), x - 1; n=2, k=Q)"
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -325,6 +326,33 @@ class TestMainExitCodes:
     def test_parse_error(self, capsys):
         assert main(["ramify", "(1/0, 2)"]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ramify", "(1 2)"], "expected ',' (at position 4)"),
+        # a zero divisor and a negative power of zero, at the / or the ^
+        (["ramify", "(1/(x-x), 2)"], "division by zero (at position 2)"),
+        (["ramify", "(0^-1, 3)"], "division by zero (at position 2)"),
+        (["ff-ramify", "((x-x)^-1, x; n=2, k=Q)"], "division by zero (at position 6)"),
+        (["ramify", "(x^1/2, 2)"], "exponent must be an integer (at position 3)"),
+        (["ramify", "(*, 2)"], "expected a number, x, or '(' (at position 1)"),
+        (["ff-ramify", "(x/3, x; n=2, k=F3)"], "entry is not p-integral at 3 (at position 1)"),
+        (["ff-ramify", "(x, x; m=2, k=F3)"], "expected n=<degree> (at position 7)"),
+        (["ff-ramify", "(x, x; n=1, k=F3)"], "degree n must be an integer >= 2 (at position 9)"),
+        (["ff-ramify", "(x, x; n=2, j=F3)"], "expected k=F<p> or k=Q (at position 12)"),
+        (["elliptic-bound", "z^2 = x^3 - x"], "expected 'y^2 = ...' or 'roots = a,b,c'"),
+        (["elliptic-bound", "y^3 = x^3 - x"], "left side must be y^2 (at position 2)"),
+        (["elliptic-bound", "y^2 = 1/x"], "right side must be a polynomial (at position 6)"),
+        (["ramify", "(x, x; n=2, k=F3)"], "ramify expects a quaternion algebra over Q"),
+    ])
+    def test_parser_refusals(self, argv, message, capsys):
+        assert main(argv) == EXIT_PARSE
+        assert f"parse error: {message}" in capsys.readouterr().err
+
+    def test_zero_power_and_empty_place_are_accepted(self, capsys):
+        # 0^-0 is 0^0 = 1, and parse_places skips an empty chunk
+        assert main(["ramify", "(0^-0, 3)"]) == EXIT_OK
+        assert main(["unramified-group", "--places", "inf,,2"]) == EXIT_OK
+        assert "expected_count: 2" in capsys.readouterr().out
 
     def test_precondition_error(self, capsys):
         # split algebra: the embedding criterion refuses to answer

@@ -50,6 +50,7 @@ class TestFactor:
         f = factor(-12)
         assert f.sign == -1
         assert f.as_dict() == {2: 2, 3: 1}
+        assert (f.exponent(2), f.exponent(3), f.exponent(5)) == (2, 1, 0)
 
     def test_360360_against_trial_division(self):
         expected = trial_division(360360)
@@ -329,3 +330,5 @@ class TestHelpers:
         assert squarefree_part(Fraction(-18)) == -2
         assert squarefree_part(Fraction(2, 3)) == 6
         assert squarefree_part(Fraction(49)) == 1
+        with pytest.raises(ZeroValuationError):
+            squarefree_part(0)

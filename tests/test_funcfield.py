@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramgenus import funcfield, gfpoly, qpoly
+from ramgenus import qpoly
 from ramgenus.cli import parse_algebra
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.exactarith import is_rational_square
@@ -20,7 +20,7 @@ from ramgenus.funcfield import (
     tame_residue,
     tame_symbol,
 )
-from ramgenus.gfpoly import PolyFp, fq_inv, residue_class_is_nth_power
+from ramgenus.gfpoly import PolyFp, residue_class_is_nth_power
 from ramgenus.qpoly import PolyQ
 
 from enumerate_fp import irreducible_monics
@@ -273,7 +273,7 @@ class TestTameResidue:
                 r1 = t1.residue_at(w)
                 r2 = t2.residue_at(w)
                 pi = w.pi
-                ratio = r12 * fq_inv(r1 * r2 % pi, pi) % pi
+                ratio = r12 * (r1 * r2).pow_mod(-1, pi) % pi
                 assert residue_class_is_nth_power(ratio, pi, 2)
 
 
@@ -358,6 +358,10 @@ class TestDegreePlaceResidue:
         w = FFPlace.infinity(D.char)
         got = tame_residue(D, w)
         want = _residue_reference(D, w)
+        # the tame symbol in x, reduced by residue_at's own x -> 1/x
+        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
+        t = D.a.pow(vb) * D.b.pow(-va)
+        assert (-t if va * vb % 2 else t).residue_at(w) == want, str(D)
         if D.char:
             assert got.residue_class == want, str(D)
             assert got.ramified == (not residue_class_is_nth_power(want, want.x(D.char), D.n))
@@ -365,7 +369,6 @@ class TestDegreePlaceResidue:
             want = want.constant_value()
             assert got.residue_class == want and type(got.residue_class) is Fraction, str(D)
             assert got.ramified == (not is_rational_square(want))
-        va, vb = D.a.valuation_at(w), D.b.valuation_at(w)
         assert D.a.num.leading() != 1 and D.b.num.leading() != 1
         seen.update(v for v in (va, vb) if abs(v) >= 2)
 
@@ -526,6 +529,8 @@ class TestRamVOverQ:
         x = rf_q([0, 1])
         with pytest.raises(UnsupportedFieldError):
             ram_V_over_Q(SymbolAlgebraFF(3, x, x))
+        with pytest.raises(UnsupportedFieldError):
+            ram_V_over_Q(SymbolAlgebraFF(2, rf_fp(3, (0, 1)), rf_fp(3, (0, 1))))
 
 
 def _stall_quotient(d):
@@ -572,12 +577,12 @@ class TestResidueCallCounts:
     """The order of the checks over Q(x), pinned by call counts: a nonsquare
     proven by the norm or the local sieve never builds Trager's
     characteristic polynomial, and the residue pass inverts on the integer
-    model, never through fq_inv on a PolyQ."""
+    model, never through ``PolyQ._inverse``."""
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"char_poly": 0, "sieve": 0, "fq_inv": []}
-        char_poly, sieve, inverse = qpoly._char_poly, qpoly._local_nonsquare, funcfield.fq_inv
+        calls = {"char_poly": 0, "sieve": 0, "inverse": []}
+        char_poly, sieve, inverse = qpoly._char_poly, qpoly._local_nonsquare, PolyQ._inverse
 
         def count_char_poly(r, f):
             calls["char_poly"] += 1
@@ -587,14 +592,13 @@ class TestResidueCallCounts:
             calls["sieve"] += 1
             return sieve(r, f)
 
-        def count_fq_inv(a, pi):
-            calls["fq_inv"].append(type(a).__name__)
+        def count_inverse(a, pi):
+            calls["inverse"].append(type(a).__name__)
             return inverse(a, pi)
 
         monkeypatch.setattr(qpoly, "_char_poly", count_char_poly)
         monkeypatch.setattr(qpoly, "_local_nonsquare", count_sieve)
-        monkeypatch.setattr(funcfield, "fq_inv", count_fq_inv)
-        monkeypatch.setattr(gfpoly, "fq_inv", count_fq_inv)
+        monkeypatch.setattr(PolyQ, "_inverse", count_inverse)
         return calls
 
     def test_nonsquares_never_reach_trager(self, monkeypatch):
@@ -603,20 +607,20 @@ class TestResidueCallCounts:
         out = residues(D)
         assert [w.ramified for w in out] == [True, True, True, False]
         # x^(-1) at x^16 + ... + 4 has the square norm 1/4, so the sieve decides
-        assert calls == {"char_poly": 0, "sieve": 1, "fq_inv": []}
+        assert calls == {"char_poly": 0, "sieve": 1, "inverse": []}
         tame_symbol(D, out[1].place).residue_at(out[1].place)
-        assert calls["fq_inv"] == ["PolyQ"]  # the counter sees a PolyQ inverse
+        assert calls["inverse"] == ["PolyQ"]  # the counter sees a PolyQ inverse
 
     def test_a_square_passes_norm_and_sieve_then_trager(self, monkeypatch):
         calls = self._count(monkeypatch)
         assert [w.ramified for w in residues(_square_family(8))] == [False, False, False]
-        assert calls["sieve"] == 1 and calls["char_poly"] >= 1 and calls["fq_inv"] == []
+        assert calls["sieve"] == 1 and calls["char_poly"] >= 1 and calls["inverse"] == []
 
     def test_the_norm_decides_most_places(self, monkeypatch):
         calls = self._count(monkeypatch)
         D = SymbolAlgebraFF(2, rf_q([3]), rf_q([1, 1, 0, 1]))  # N(3) = 27 at x^3 + x + 1
         assert [str(w) for w in ram_V(D)] == ["(x^3 + x + 1)", "inf"]
-        assert calls == {"char_poly": 0, "sieve": 0, "fq_inv": []}
+        assert calls == {"char_poly": 0, "sieve": 0, "inverse": []}
 
 
 class TestGenusBound:

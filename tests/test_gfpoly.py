@@ -16,7 +16,6 @@ from ramgenus.gfpoly import (
     _squarefree_ddf,
     _norm,
     _trim,
-    fq_inv,
     is_irreducible_fp,
     is_square_fq,
     poly_factor_fp,
@@ -224,6 +223,9 @@ class TestFactor:
     def test_rejects_zero(self):
         with pytest.raises(ZeroValuationError):
             poly_factor_fp(PolyFp(5, ()))
+        # a nonzero constant has no irreducible factor and is not irreducible
+        assert poly_factor_fp(PolyFp(5, (3,))) == []
+        assert not is_irreducible_fp(PolyFp(5, (3,)))
 
     def test_reconstruction_bulk(self):
         rng = random.Random(17)
@@ -471,7 +473,7 @@ class TestResidueField:
         pi = PolyFp.of(3, (1, 0, 1))
         for _ in range(50):
             a = random_poly(rng, 3, 1, nonzero=True)
-            inv = fq_inv(a, pi)
+            inv = a.pow_mod(-1, pi)
             assert (a * inv % pi) == PolyFp.constant(3, 1)
 
     def test_square_examples(self):

@@ -95,6 +95,8 @@ class TestSquareClass:
             for v in support_places(a, b):
                 cls_ab = square_class(a * b, v)
                 assert cls_ab == square_class(a, v) * square_class(b, v)
+        with pytest.raises(ValueError, match="different places"):
+            square_class(2, PlaceQ.finite(3)) * square_class(2, PlaceQ.finite(5))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroValuationError):

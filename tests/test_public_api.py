@@ -192,6 +192,8 @@ def test_value_semantics(cls, fields, other):
         assert getattr(b, name) == value
         with pytest.raises(AttributeError):
             setattr(b, name, value)
+        with pytest.raises(AttributeError):
+            delattr(b, name)
     assert repr(a).startswith(cls.__name__ + "(")
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
 from ramgenus import gfpoly, qpoly
-from ramgenus.gfpoly import PolyFp, _mul, fq_inv
+from ramgenus.gfpoly import PolyFp, _mul
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, _pdivmod, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
     rational_roots,
@@ -315,6 +315,9 @@ class TestFactor:
     def test_rejects_zero(self):
         with pytest.raises(ZeroValuationError):
             factor_q(PolyQ(()))
+        # a nonzero constant is its own content, with no irreducible factor
+        assert factor_q(PolyQ.constant(Fraction(-3, 2))) == (Fraction(-3, 2), [])
+        assert not is_irreducible_q(PolyQ.constant(2))
 
 
 def eisenstein_stall(seed=17, degree=64, bits=256):
@@ -391,6 +394,8 @@ class TestRationalRoots:
 
     def test_irrational(self):
         assert rational_roots(PolyQ.of([-2, 0, 1])) == []
+        with pytest.raises(ZeroValuationError):
+            rational_roots(PolyQ.of([]))
 
     def test_roots_near_1e9(self):
         # |a0| is about 1e27, far beyond any scan of its divisors
@@ -731,7 +736,7 @@ class TestInverse:
             a = random_polyq(rng, 7)
             if (a % pi).is_zero():
                 continue
-            inv = fq_inv(a, pi)
+            inv = a.pow_mod(-1, pi)
             assert inv.degree < pi.degree
             assert a * inv % pi == PolyQ.constant(1), (str(a), str(pi))
             assert a.pow_mod(-2, pi) == inv * inv % pi
@@ -740,7 +745,7 @@ class TestInverse:
         pi = PolyQ.of([-2, 0, 1])
         for a in (PolyQ.of([]), pi, pi * PolyQ.of([1, 3])):
             with pytest.raises(ZeroDivisionError):
-                fq_inv(a, pi)
+                a.pow_mod(-1, pi)
 
 
 def sympy_resultant(a: list[int], b: list[int]) -> int:
