@@ -54,6 +54,7 @@ class InputSizeError(RamgenusError):
 # (((3^256)^256)^256 would have 26.6 million bits)
 MAX_EXPONENT = MAX_DEGREE = 256
 MAX_BITS = 4096
+MAX_DEPTH = 100  # nested parentheses, four parser frames each; ~245 reach the recursion limit
 
 
 EXIT_OK = 0
@@ -100,7 +101,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
-        self.i = 0
+        self.i = self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -186,8 +187,13 @@ class _Parser:
             self.next()
             return RationalFunction.of(PolyQ.x())
         if tok.kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise InputSizeError(
+                    f"parentheses nested above the cap of {MAX_DEPTH} (at position {tok.pos})")
             self.next()
+            self.depth += 1
             value = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return value
         raise ParseError("expected a number, x, or '('", self.text, tok.pos)

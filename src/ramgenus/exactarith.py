@@ -272,8 +272,6 @@ def euler_phi(n: int) -> int:
     """Euler's totient of a positive integer."""
     if n < 1:
         raise ValueError("phi is defined for positive integers")
-    if n == 1:
-        return 1
     phi = 1
     for p, e in factor(n).factors:
         phi *= (p - 1) * p ** (e - 1)

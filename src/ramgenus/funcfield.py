@@ -29,7 +29,7 @@ from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import euler_phi, is_prime, is_rational_square
 from .gfpoly import (
     PolyFp,
-    _divmod_monic,
+    _divmod,
     _inv_mod,
     _power,
     _product_mod,
@@ -336,9 +336,9 @@ def tame_residue(D: SymbolAlgebraFF, w: FFPlace) -> TameResidue:
         if pi is None:
             v, u = -poly.degree, poly.leading()
         elif p:
-            v, (q, u) = 0, _divmod_monic(poly.coeffs, pi, p)
+            v, (q, u) = 0, _divmod(poly.coeffs, pi, p)
             while not u:
-                v, (q, u) = v + 1, _divmod_monic(q, pi, p)
+                v, (q, u) = v + 1, _divmod(q, pi, p)
         else:
             c, F = poly.integer_model()
             v, q = 0, _exact_quotient(F, P)

@@ -5,16 +5,16 @@ with the zero polynomial represented by the empty tuple. All values are
 immutable; every operation returns a fresh polynomial.
 
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
-``_add_mod``, ``_divmod_monic``, the monic ``_gcd``, the inverse
-``_inv_mod``; ``qpoly``'s products, Hensel lifting and inverse share them),
-reduced once per product. Repeated products modulo one monic f and prime p
-(``_product_mod``: power-class tests, the Frobenius table, norms, tame
-residues) pack each list into one int at 64 bits per coefficient, multiply
-once and reduce word by word, whenever 2 deg(f) p^2 < 2^64, the word bound;
-past it they are ``_divmod_monic(_mul(u, v), f, p)``. Only the public constructors
-(``PolyFp(...)``, ``of``, ``constant``, ``x``) check p and reduce
-coefficients; ring operations build their results with the trusted
-``PolyFp._make`` (over ``Value._new``).
+``_add_mod``, ``_divmod`` by any divisor with a unit leading coefficient, the
+monic ``_gcd``, the inverse ``_inv_mod``; ``qpoly``'s products, Hensel lifting
+and inverse share them), reduced once per product. Repeated products modulo
+one monic f and prime p (``_product_mod``: power-class tests, the Frobenius
+table, norms, tame residues) pack each list into one int at 64 bits per
+coefficient, multiply once and reduce word by word, whenever
+2 deg(f) p^2 < 2^64, the word bound; past it they are
+``_divmod(_mul(u, v), f, p)``. Only the public constructors (``PolyFp(...)``,
+``of``, ``constant``, ``x``) check p and reduce coefficients; ring operations
+build their results with the trusted ``PolyFp._make`` (over ``Value._new``).
 
 ``PolyFp`` and ``qpoly.PolyQ`` share the base ``_Poly``, every operation that
 does not depend on the ring, ``pow_mod`` on ring products among them. Each
@@ -45,14 +45,10 @@ from ._value import Value
 from .errors import UnsupportedFieldError, ZeroValuationError
 from .exactarith import is_prime
 
-_KNOWN_PRIMES: set[int] = set()
-
 
 def _check_char(p: int) -> None:
-    if p not in _KNOWN_PRIMES:
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        _KNOWN_PRIMES.add(p)
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
 
 
 # -- int-list kernel ----------------------------------------------------------
@@ -92,13 +88,14 @@ def _add_mod(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
     return _trim([(x + sign * y) % m for x, y in zip(a, b)])
 
 
-def _divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division with remainder mod m by a monic b; a need not be reduced."""
-    db = len(b) - 1
+def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Division with remainder mod m by any b whose leading coefficient is a
+    unit mod m (``ValueError`` otherwise); a need not be reduced."""
+    db, inv = len(b) - 1, 1 if b[-1] == 1 else pow(b[-1], -1, m)
     rem = list(a)
     q = [0] * max(len(rem) - db, 0)
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
+        c = rem[i] * inv % m
         if c:
             q[i - db] = c
             for j, y in enumerate(b):
@@ -117,21 +114,19 @@ def _monic(a, p: int) -> list[int]:
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd of a and b mod p (empty when both are)."""
     while b:
-        b = _monic(b, p)
-        a, b = b, _divmod_monic(a, b, p)[1]
+        a, b = b, _divmod(a, b, p)[1]
     return _monic(a, p) if a else a
 
 
 def _inv_mod(a, f: list[int], p: int) -> list[int]:
-    """a^(-1) mod (f, p) for a monic f and an a prime to f, by the extended
-    Euclidean algorithm; s * a = r mod f holds for every remainder r."""
-    r0, r1 = f, _divmod_monic(a, f, p)[1]
+    """a^(-1) mod (f, p) for an a prime to any divisor f with a unit leading
+    coefficient, by extended Euclid; s * a = r mod f for every remainder r."""
+    r0, r1 = f, _divmod(a, f, p)[1]
     s0, s1 = [], [1]
     while len(r1) > 1:
-        inv = pow(r1[-1], -1, p)
-        q, r = _divmod_monic(r0, [c * inv % p for c in r1], p)
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _add_mod(s0, _mul([c * inv for c in q], s1), p, -1)
+        s0, s1 = s1, _add_mod(s0, _mul(q, s1), p, -1)
     if not r1:
         raise ZeroDivisionError("inverse of 0 in residue field")
     inv = pow(r1[0], -1, p)
@@ -145,7 +140,7 @@ def _norm(f: list[int], g, p: int) -> int:
     leading coefficient c, Res(f, r) = (-1)^(deg f * k) c^(deg f) Res(r/c, f)."""
     out = 1
     while len(f) > 1:
-        r = _divmod_monic(g, f, p)[1]
+        r = _divmod(g, f, p)[1]
         if not r:
             return 0
         m, k, c = len(f) - 1, len(r) - 1, r[-1]
@@ -210,15 +205,14 @@ def _product_mod(f: list[int], m: int):
     to n = deg f: word k stands for c x^k, c its value mod m, and
     x^k = x^(k-n) g modulo f for g = x^n - f, so c x^(k-n) g, g packed with
     entries in [0, m), is added below it; the words from n up are dropped at
-    the end, and no word goes negative. Past the bound, ``_divmod_monic``."""
+    the end, and no word goes negative; an empty operand packs to 0. Past the
+    bound, ``_divmod`` (any divisor with a unit leading coefficient)."""
     n = len(f) - 1
     if not _fits_words(n, m):
-        return lambda u, v: _divmod_monic(_mul(u, v), f, m)[1]
+        return lambda u, v: _divmod(_mul(u, v), f, m)[1]
     g, low = _pack([-c % m for c in f[:-1]]), (1 << 64 * n) - 1
 
     def product(u, v):
-        if not u or not v:
-            return []
         w = _pack(u)
         w *= w if u is v else _pack(v)
         for k in range(len(u) + len(v) - 2, n - 1, -1):
@@ -237,7 +231,7 @@ def _norm_power(r: list[int], d: int, frob, f: list[int], p: int) -> list[int]:
     product = _product_mod(f, p)
     t = norm = r
     for _ in range(d - 1):
-        t = _divmod_monic(frob(t), f, p)[1]
+        t = _divmod(frob(t), f, p)[1]
         norm = product(norm, t)
     return _power(norm, (p - 1) // 2, product)
 
@@ -385,13 +379,8 @@ class PolyFp(_Poly):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        lead = other.coeffs[-1]
-        q, r = _divmod_monic(self.coeffs, _monic(other.coeffs, p), p)
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            q = [c * inv % p for c in q]
-        return PolyFp._make(p, q), PolyFp._make(p, r)
+        q, r = _divmod(self.coeffs, other.coeffs, self.p)
+        return PolyFp._make(self.p, q), PolyFp._make(self.p, r)
 
     def gcd(self, other: "PolyFp") -> "PolyFp":
         self._check(other)
@@ -399,8 +388,7 @@ class PolyFp(_Poly):
 
     def _inverse(self, modulus: "PolyFp") -> "PolyFp":
         self._check(modulus)
-        p = self.p
-        return PolyFp._make(p, _inv_mod(self.coeffs, _monic(modulus.coeffs, p), p))
+        return PolyFp._make(self.p, _inv_mod(self.coeffs, modulus.coeffs, self.p))
 
     def derivative(self) -> "PolyFp":
         return PolyFp._make(self.p, _derivative(self.coeffs, self.p))
@@ -442,7 +430,7 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
     the roots of pi; so the test is N(r)^((p-1)/g) = 1 in F_p.
     """
     p, m = r.p, _monic(pi.coeffs, r.p)
-    r = _divmod_monic(r.coeffs, m, p)[1]
+    r = _divmod(r.coeffs, m, p)[1]
     if not r:
         raise ZeroValuationError("power-class test of 0 in the residue field")
     q = p**pi.degree
@@ -486,7 +474,7 @@ def _distinct_degree(f: list[int], p: int):
         part = _gcd(g, _add_mod(h, [0, 1], p, -1), p)
         if len(part) > 1:
             out.append((part, d))
-            g = _divmod_monic(g, part, p)[0]
+            g = _divmod(g, part, p)[0]
     if len(g) > 1:
         out.append((g, len(g) - 1))
     return frob, out
@@ -508,14 +496,14 @@ def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) 
         if p == 2:
             t = acc = r
             for _ in range(d - 1):
-                t = _divmod_monic(frob(t), f, p)[1]
+                t = _divmod(frob(t), f, p)[1]
                 acc = _add_mod(acc, t, p)
         else:
             acc = _add_mod(_norm_power(r, d, frob, f, p), [1], p, -1)
         g = _gcd(f, acc, p)
         if 1 < len(g) < len(f):
             return _equal_degree_split(g, d, frob, p, rng) + _equal_degree_split(
-                _divmod_monic(f, g, p)[0], d, frob, p, rng
+                _divmod(f, g, p)[0], d, frob, p, rng
             )
 
 
@@ -540,12 +528,12 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     rest, scale = _monic(f.coeffs, p), 1
     while len(rest) > 1:
         g = _gcd(rest, _derivative(rest, p), p)
-        frob, parts = _distinct_degree(_divmod_monic(rest, g, p)[0], p)
+        frob, parts = _distinct_degree(_divmod(rest, g, p)[0], p)
         for prod, d in parts:
             for u in _equal_degree_split(prod, d, frob, p, rng):
-                mult, (q, r) = scale, _divmod_monic(g, u, p)
+                mult, (q, r) = scale, _divmod(g, u, p)
                 while not r:
-                    g, mult, (q, r) = q, mult + scale, _divmod_monic(q, u, p)
+                    g, mult, (q, r) = q, mult + scale, _divmod(q, u, p)
                 out.append((PolyFp._make(p, u), mult))
         rest, scale = g[::p], scale * p
     out.sort(key=lambda t: t[0].sort_key())

@@ -39,7 +39,7 @@ from operator import mul
 from .errors import ZeroValuationError
 from .exactarith import primes_after
 from .gfpoly import (
-    PolyFp, _add_mod, _check_char, _divmod_monic, _equal_degree_split, _gcd, _inv_mod, _mul,
+    PolyFp, _add_mod, _check_char, _divmod, _equal_degree_split, _gcd, _inv_mod, _mul,
     _mul_mod, _norm_power, _Poly, _power, _squarefree_ddf, _trim,
 )
 
@@ -155,7 +155,7 @@ def _model_of(ints: list[int], scale: Fraction) -> tuple[Fraction, tuple[int, ..
 #
 # Integer polynomials below are lists of ints, ascending and without trailing
 # zeros; "mod m" results are reduced into [0, m). The list kernel
-# (``_mul``, ``_mul_mod``, ``_add_mod``, ``_divmod_monic``, ``_inv_mod``) is
+# (``_mul``, ``_mul_mod``, ``_add_mod``, ``_divmod``, ``_inv_mod``) is
 # gfpoly's, used here mod p and p^k.
 
 
@@ -266,8 +266,8 @@ def _inv_z(b, f) -> tuple[list[int], int]:
     v, m = _inv_mod(b, f, p), p
     while m <= 2 * bound:
         m *= m
-        e = _add_mod([2], _divmod_monic(_mul(b, v), f, m)[1], m, -1)
-        v = _divmod_monic(_mul(v, e), f, m)[1]
+        e = _add_mod([2], _divmod(_mul(b, v), f, m)[1], m, -1)
+        v = _divmod(_mul(v, e), f, m)[1]
     return _trim([c - m if 2 * c > m else c for c in (res * c % m for c in v)]), res
 
 
@@ -295,11 +295,11 @@ def _hensel_step(f, g, h, s, t, m: int):
     """
     m2 = m * m
     e = _add_mod(f, _mul_mod(g, h, m2), m2, -1)
-    q, r = _divmod_monic(_mul_mod(s, e, m2), h, m2)
+    q, r = _divmod(_mul_mod(s, e, m2), h, m2)
     g = _add_mod(_add_mod(g, _mul_mod(t, e, m2), m2), _mul_mod(q, g, m2), m2)
     h = _add_mod(h, r, m2)
     b = _add_mod(_add_mod(_mul_mod(s, g, m2), _mul_mod(t, h, m2), m2), [1], m2, -1)
-    c, d = _divmod_monic(_mul_mod(s, b, m2), h, m2)
+    c, d = _divmod(_mul_mod(s, b, m2), h, m2)
     s = _add_mod(s, d, m2, -1)
     t = _add_mod(_add_mod(t, _mul_mod(t, b, m2), m2, -1), _mul_mod(c, g, m2), m2, -1)
     return g, h, s, t
@@ -324,7 +324,7 @@ def _hensel_lift(f: list[int], factors: list, p: int, modulus: int) -> list[list
     for u in factors[half:]:
         h = _mul_mod(h, u, p)
     s = _inv_mod(g, h, p)
-    t = _divmod_monic(_add_mod([1], _mul(s, g), p, -1), h, p)[0]
+    t = _divmod(_add_mod([1], _mul(s, g), p, -1), h, p)[0]
     m = p
     while m < modulus:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)
@@ -577,10 +577,10 @@ def _local_nonsquare(r: list[int], f: list[int]) -> bool:
         for g, k in parts:
             if k == len(f) - 1:
                 break  # f is irreducible mod p
-            g = _divmod_monic(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
+            g = _divmod(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
             if len(g) == 1:
                 continue
-            if _norm_power(_divmod_monic(rp, g, p)[1], k, frob, g, p) != [1]:
+            if _norm_power(_divmod(rp, g, p)[1], k, frob, g, p) != [1]:
                 return True
     return False
 

@@ -14,6 +14,7 @@ from ramgenus.cli import (
     EXIT_PRECONDITION,
     MAX_BITS,
     MAX_DEGREE,
+    MAX_DEPTH,
     MAX_EXPONENT,
     InputSizeError,
     Report,
@@ -405,6 +406,23 @@ class TestMainExitCodes:
         assert main(["ff-ramify", f"({entry}, x; n=2, k=Q)"]) == EXIT_PRECONDITION
         assert time.perf_counter() - start < 2  # expanding (x+1)^256 over Q alone takes 0.15 s
         assert f"cap of {MAX_DEGREE}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, template, inner", [
+        ("ramify", "({}, 3)", "-1"),
+        ("ff-ramify", "({}, x + 1; n=2, k=F5)", "x"),
+        ("elliptic-bound", "y^2 = (x + 1) x {}", "x - 1"),
+    ])
+    def test_parentheses_above_the_depth_cap_are_refused(self, command, template, inner, capsys):
+        # about 245 levels passed Python's recursion limit with a traceback
+        def nested(depth):
+            return template.format("(" * depth + inner + ")" * depth)
+
+        assert main([command, nested(MAX_DEPTH)]) == EXIT_OK
+        capsys.readouterr()
+        pos = template.index("{}") + MAX_DEPTH  # the first parenthesis past the cap
+        for depth in (MAX_DEPTH + 1, 245):
+            assert main([command, nested(depth)]) == EXIT_PRECONDITION
+            assert f"cap of {MAX_DEPTH} (at position {pos})" in capsys.readouterr().err
 
     def test_quotient_of_degree_96_over_q_parses_at_once(self):
         # reducing the quotient by a gcd in Q[x]: Euclid on Fraction

@@ -340,6 +340,12 @@ class TestDirectResidue:
 
             _check_direct_residues(SymbolAlgebraFF(2, entry(), entry()), seen)
         assert all(seen.values())
+        # Res(x^2 - 2, x - 65536) = 2 (2^31 - 1): the inverse of x - 65536 at
+        # (x^2 - 2) is lifted from the prime after 2^31 - 1
+        D = parse_algebra("(x^2 - 2, x - 65536; n=2, k=Q)")
+        _check_direct_residues(D, seen)
+        residue = tame_residue(D, FFPlace.finite(PolyQ.of([-2, 0, 1]))).residue_class
+        assert residue == PolyQ.of([Fraction(-32768, 2147483647), Fraction(-1, 4294967294)])
 
 
 class TestDegreePlaceResidue:

@@ -7,7 +7,8 @@ import pytest
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
 from ramgenus.gfpoly import (
     PolyFp,
-    _divmod_monic,
+    _add_mod,
+    _divmod,
     _fits_words,
     _frobenius,
     _mul,
@@ -56,6 +57,15 @@ def random_poly(rng, p, max_deg, nonzero=True):
             return f
 
 
+def divisors_of_every_lead(rng):
+    """(p, g) at p = 10007 and 2^31 - 1: divisors of degree 0 to 4 with the
+    leading coefficients 1, p - 1 and random ones."""
+    for p in (10007, 2**31 - 1):
+        for lead in (1, p - 1) + tuple(rng.randrange(2, p - 1) for _ in range(4)):
+            for deg in range(5):
+                yield p, PolyFp(p, tuple(rng.randrange(p) for _ in range(deg)) + (lead,))
+
+
 class TestArithmetic:
     def test_divmod_round_trip(self):
         rng = random.Random(11)
@@ -63,6 +73,11 @@ class TestArithmetic:
             p = rng.choice([2, 3, 5, 7])
             f = random_poly(rng, p, 6)
             g = random_poly(rng, p, 4)
+            q, r = divmod(f, g)
+            assert q * g + r == f
+            assert r.is_zero() or r.degree < g.degree
+        for p, g in divisors_of_every_lead(rng):
+            f = random_poly(rng, p, 6)
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.is_zero() or r.degree < g.degree
@@ -75,6 +90,31 @@ class TestArithmetic:
             g = random_poly(rng, p, 5)
             h = f.gcd(g)
             assert (f % h).is_zero() and (g % h).is_zero()
+        for p, c in divisors_of_every_lead(rng):
+            # a common factor c of any leading coefficient divides the gcd
+            f, g = random_poly(rng, p, 3) * c, random_poly(rng, p, 3) * c
+            h = f.gcd(g)
+            assert h.is_monic() and (f % h).is_zero() and (g % h).is_zero()
+            assert (h % c).is_zero()
+
+    def test_divmod_mod_prime_powers(self):
+        # Hensel lifting and the p-adic inverse divide mod p^k by monic
+        # divisors, of dividends that need not be reduced
+        rng = random.Random(19)
+        for m in (3**5, 7**4, 10007**2, 2**62):
+            for _ in range(50):
+                a = _trim([rng.randrange(-m, 2 * m) for _ in range(rng.randint(0, 9))])
+                b = [rng.randrange(m) for _ in range(rng.randint(0, 4))] + [1]
+                q, r = _divmod(a, b, m)
+                assert len(r) < len(b) and all(0 <= c < m for c in q + r)
+                assert _add_mod(_mul(q, b), r, m) == _trim([c % m for c in a])
+
+    @pytest.mark.parametrize("b, m", [
+        ([1, 3], 9), ([2, 6], 36), ([1, 0, 10007], 10007**2), ([5, 7], 7),
+    ])
+    def test_divmod_refuses_a_non_unit_leading_coefficient(self, b, m):
+        with pytest.raises(ValueError):
+            _divmod([1, 2, 3, 4], b, m)
 
     def test_str(self):
         f = PolyFp.of(3, (2, 0, 1))
@@ -105,7 +145,7 @@ class TestArithmetic:
 
 def list_product_mod(f, m):
     """Reference for ``_product_mod``: the unpacked list kernel."""
-    return lambda u, v: _divmod_monic(_mul(u, v), f, m)[1]
+    return lambda u, v: _divmod(_mul(u, v), f, m)[1]
 
 
 def random_reduced(rng, m, n):

@@ -2,6 +2,7 @@
 functions accept. They take anything ``Fraction()`` takes and answer as they
 would for that Fraction."""
 
+import ast
 from decimal import Decimal
 from fractions import Fraction
 
@@ -202,7 +203,6 @@ def test_only_the_value_module_fills_values():
     """How a value is filled is decided in ``_value`` alone: no other module
     of the package names ``object.__setattr__`` or ``object.__new__``, or
     reaches for a slot's ``__set__``."""
-    import ast
     from pathlib import Path
 
     package = Path(__file__).resolve().parent.parent / "src" / "ramgenus"
@@ -216,4 +216,73 @@ def test_only_the_value_module_fills_values():
             node.attr == "__set__" or node.attr in ("__setattr__", "__new__")
             and isinstance(node.value, ast.Name) and node.value.id == "object")
     ]
+    assert found == []
+
+
+_MUTATORS = {"add", "append", "extend", "update", "setdefault", "pop", "clear", "discard", "remove"}
+
+
+def _bound_names(scope) -> set[str]:
+    """The names a module or function body binds, its parameters among them,
+    not descending into nested functions or classes (whose own names count)."""
+    names = set()
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        names |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _module_mutations(node, module: set[str], local: set[str] | None = None):
+    """Lines inside a function of ``node`` that mutate a module-level name not
+    shadowed by a local one; ``local`` is None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_mutations(child, module, (local or set()) | _bound_names(child))
+            continue
+        if local is not None:
+            targets = []
+            if isinstance(child, ast.Global):
+                yield child.lineno
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr in _MUTATORS:
+                    targets = [child.func.value]
+            elif isinstance(child, ast.Assign):
+                targets = [t.value for t in child.targets if isinstance(t, ast.Subscript)]
+            elif isinstance(child, ast.AugAssign):
+                targets = [getattr(child.target, "value", child.target)]
+            if any(isinstance(t, ast.Name) and t.id in module and t.id not in local
+                   for t in targets):
+                yield child.lineno
+        yield from _module_mutations(child, module, local)
+
+
+def test_no_function_mutates_module_state():
+    """What a module binds stays as the import left it: no function of the
+    package calls a mutating method (``add``, ``append``, ``update``, ...) on
+    a module-level name, assigns to an item of one or augments one, or has a
+    ``global`` statement. Caches by ``functools.cache`` or ``lru_cache``
+    decorate functions and are not flagged."""
+    from pathlib import Path
+
+    package = Path(__file__).resolve().parent.parent / "src" / "ramgenus"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}" for line in _module_mutations(tree, _bound_names(tree))]
     assert found == []

@@ -741,6 +741,15 @@ class TestInverse:
             assert a * inv % pi == PolyQ.constant(1), (str(a), str(pi))
             assert a.pow_mod(-2, pi) == inv * inv % pi
 
+    def test_inverse_past_the_first_lift_prime(self):
+        # Res(x^2 - 2, x - 65536) = 2^32 - 2 = 2 (2^31 - 1), so the p-adic
+        # inverse is lifted from the prime after 2^31 - 1
+        pi, a = PolyQ.of([-2, 0, 1]), PolyQ.of([-65536, 1])
+        assert _resultant_z([-2, 0, 1], [-65536, 1]) == 2 * qpoly._LIFT_PRIME
+        inv = a.pow_mod(-1, pi)
+        assert inv == PolyQ.of([Fraction(-65536, 4294967294), Fraction(-1, 4294967294)])
+        assert a * inv % pi == PolyQ.constant(1)
+
     def test_inverse_of_zero(self):
         pi = PolyQ.of([-2, 0, 1])
         for a in (PolyQ.of([]), pi, pi * PolyQ.of([1, 3])):
