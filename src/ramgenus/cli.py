@@ -55,6 +55,7 @@ class InputSizeError(RamgenusError):
 MAX_EXPONENT = MAX_DEGREE = 256
 MAX_BITS = 4096
 MAX_DEPTH = 100  # nested parentheses, four parser frames each; ~245 reach the recursion limit
+MAX_PLACES = 20  # unramified-group lists 2^(|S|-1) classes: 20 places print 23 MB
 
 
 EXIT_OK = 0
@@ -540,6 +541,9 @@ def _cmd_distinguish(args) -> Report:
 
 def _cmd_unramified_group(args) -> Report:
     places = parse_places(args.places)
+    size = len(set(places))
+    if size > MAX_PLACES:
+        raise InputSizeError(f"{size} distinct places, above the cap of {MAX_PLACES}")
     classes = enumerate_unramified(places)
     return Report(
         command="unramified-group",
@@ -547,7 +551,7 @@ def _cmd_unramified_group(args) -> Report:
         result={
             "classes": [str(ram) for ram in classes],
             "count": len(classes),
-            "expected_count": 2 ** (len(set(places)) - 1),
+            "expected_count": 2 ** (size - 1),
         },
         provenance=[
             "classes unramified outside S = even-sized subsets of S "

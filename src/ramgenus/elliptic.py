@@ -114,33 +114,21 @@ def build_S(curve: WeierstrassCurve, extra=()) -> ExceptionalSet:
     over 2; places where the discriminant has nonzero valuation; places where
     some coefficient has negative valuation; user-added places.
     """
-    delta = curve.discriminant()
-    if delta == 0:
-        raise NotSplitError("discriminant is zero; the curve is not elliptic")
-    tags: dict[PlaceQ, str] = {REAL_PLACE: ARCHIMEDEAN}
-
-    def add(v: PlaceQ, tag: str) -> None:
-        tags.setdefault(v, tag)
-
-    add(PlaceQ.finite(2), DIVIDES_TWO)
+    delta = curve.discriminant()  # nonzero: the roots are distinct
+    tags = {REAL_PLACE: ARCHIMEDEAN, PlaceQ.finite(2): DIVIDES_TWO}
     for p in sorted(
         set(factor(delta.numerator).primes()) | set(factor(delta.denominator).primes())
     ):
-        add(PlaceQ.finite(p), DIVIDES_DISCRIMINANT)
+        tags.setdefault(PlaceQ.finite(p), DIVIDES_DISCRIMINANT)
     denom_primes: set[int] = set()
     for coeff in (curve.alpha, curve.beta, curve.gamma):
         denom_primes.update(factor(coeff.denominator).primes())
     for p in sorted(denom_primes):
-        add(PlaceQ.finite(p), NEGATIVE_COEFFICIENT_VALUATION)
+        tags.setdefault(PlaceQ.finite(p), NEGATIVE_COEFFICIENT_VALUATION)
     for v in extra:
-        add(v, USER_ADDED)
+        tags.setdefault(v, USER_ADDED)
     places = tuple(sorted(tags))
     return ExceptionalSet(places, tuple(sorted(tags.items(), key=lambda t: t[0])))
-
-
-def two_class_group_order(S: ExceptionalSet) -> int:
-    """|2Cl_S(Q)|: the class group of any ring of S-integers of Q is trivial."""
-    return 1
 
 
 def s_unit_square_classes(S: ExceptionalSet) -> int:
@@ -175,7 +163,7 @@ def elliptic_genus_bound(curve: WeierstrassCurve, extra=()) -> GenusBoundReport:
     c = 0  # Q has one real embedding and no complex places
     t = c + 1
     two_power = 2 ** (len(S) - t)
-    cl = two_class_group_order(S)
+    cl = 1  # |2Cl_S|: the class group of any ring of S-integers of Q is trivial
     units = s_unit_square_classes(S)
     return GenusBoundReport(
         bound=two_power * cl**2 * units**2,

@@ -115,12 +115,9 @@ class RationalFunction(Value):
             raise ValueError("mixed characteristics")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-        else:
-            den = den._like((1,))
+        g = num.gcd(den)
+        if g.degree > 0:
+            num, den = num // g, den // g
         lead = den.leading()
         if lead != 1:
             inv = den._inv(lead)
@@ -222,10 +219,10 @@ def _split_off(poly, pi) -> tuple[int, object]:
 def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
     """All places with v(f) != 0, each with its valuation.
 
-    The numerator and denominator are factored into monic irreducibles, and
-    the degree place enters with deg den - deg num when that is nonzero. The
-    valuations satisfy sum v * deg(place) = 0 (principal divisors have
-    degree zero).
+    The numerator and denominator are factored into monic irreducibles (they
+    share none, as f is reduced), and the degree place enters with
+    deg den - deg num when that is nonzero. The valuations satisfy
+    sum v * deg(place) = 0 (principal divisors have degree zero).
     """
     if f.is_zero():
         raise ZeroValuationError("0 has no divisor")
@@ -240,16 +237,14 @@ def places_of(f: RationalFunction) -> list[tuple[FFPlace, int]]:
             _, parts = factor_q(poly)
         for pi, mult in parts:
             place = FFPlace._new(f.char, pi)  # a monic irreducible: no re-test
-            vals[place] = vals.get(place, 0) + sign * mult
+            vals[place] = sign * mult
 
     absorb(f.num, 1)
     absorb(f.den, -1)
     vinf = f.den.degree - f.num.degree
     if vinf:
         vals[FFPlace._new(f.char, None)] = vinf  # char read off a valid f
-    out = [(place, v) for place, v in vals.items() if v != 0]
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
+    return sorted(vals.items(), key=lambda t: t[0].sort_key())
 
 
 class SymbolAlgebraFF(Value):

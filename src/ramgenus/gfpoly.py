@@ -370,10 +370,7 @@ class PolyFp(_Poly):
 
     def scale(self, c: int) -> "PolyFp":
         p = self.p
-        c %= p
-        if not c:
-            return PolyFp._make(p, ())
-        return PolyFp._make(p, [a * c % p for a in self.coeffs])
+        return PolyFp._make(p, _trim([a * c % p for a in self.coeffs]))
 
     def __divmod__(self, other: "PolyFp") -> tuple["PolyFp", "PolyFp"]:
         self._check(other)
@@ -491,8 +488,6 @@ def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) 
         return [f]
     while True:
         r = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
-        if len(r) < 2:
-            continue
         if p == 2:
             t = acc = r
             for _ in range(d - 1):
@@ -519,8 +514,6 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
-    if f.is_constant():
-        return []
     p = f.p
     # seeded per input so results are reproducible run to run
     rng = random.Random(("gfpoly", p, f.coeffs).__repr__())

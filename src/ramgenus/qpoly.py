@@ -369,8 +369,6 @@ def _factor_squarefree(f: list[int]) -> list[list[int]]:
         if ddf is None:
             continue
         degrees = [d for g, d in ddf[1] for _ in range((len(g) - 1) // d)]
-        if len(degrees) == 1:
-            return [f]
         allowed &= _subset_degrees(degrees)
         if len(allowed) == 2:  # only 0 and n
             return [f]
@@ -438,8 +436,6 @@ def factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
-    if f.is_constant():
-        return f.constant_value(), []
     _, ints = f.integer_model()
     shift = next(i for i, c in enumerate(ints) if c)
     rest = list(ints[shift:])
@@ -460,8 +456,6 @@ def is_irreducible_q(f: PolyQ) -> bool:
     """Exact irreducibility over Q for a nonconstant polynomial."""
     if f.degree < 1:
         return False
-    if f.degree == 1:
-        return True
     _, parts = factor_q(f)
     return len(parts) == 1 and parts[0][1] == 1
 

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from ramgenus.cli import (
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_EXPONENT,
+    MAX_PLACES,
     InputSizeError,
     Report,
     _tokenize,
@@ -27,6 +29,7 @@ from ramgenus.cli import (
     run,
 )
 from ramgenus.errors import ParseError
+from ramgenus.exactarith import primes_after
 from ramgenus.funcfield import SymbolAlgebraFF
 from ramgenus.localsymbols import REAL_PLACE, PlaceQ, hilbert
 
@@ -423,6 +426,21 @@ class TestMainExitCodes:
         for depth in (MAX_DEPTH + 1, 245):
             assert main([command, nested(depth)]) == EXIT_PRECONDITION
             assert f"cap of {MAX_DEPTH} (at position {pos})" in capsys.readouterr().err
+
+    def test_places_above_the_cap_are_refused(self, monkeypatch, capsys):
+        # unramified-group lists 2^(|S|-1) classes: 20 places take about 2 s
+        # and print 23 MB, so the listing is stubbed out where the cap admits
+        places = ["inf"] + [str(p) for p in islice(primes_after(1), MAX_PLACES)]
+        with monkeypatch.context() as m:
+            m.setattr("ramgenus.cli.enumerate_unramified", lambda places: [])
+            for chosen in (places[:MAX_PLACES], places[:MAX_PLACES] + ["2", "inf"]):
+                assert main(["unramified-group", "--places", ",".join(chosen)]) == EXIT_OK
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["unramified-group", "--places", ",".join(places)]) == EXIT_PRECONDITION
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert f"{MAX_PLACES + 1} distinct places, above the cap of {MAX_PLACES}" in err
 
     def test_quotient_of_degree_96_over_q_parses_at_once(self):
         # reducing the quotient by a gcd in Q[x]: Euclid on Fraction

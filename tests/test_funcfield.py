@@ -82,6 +82,13 @@ class TestPlacesOf:
     def test_rejects_zero(self):
         with pytest.raises(ZeroValuationError):
             places_of(rf_fp(3, (0,)))
+        # a zero numerator over a nonconstant denominator reduces to 0/1
+        for zero, den in ((PolyFp.of(3, ()), PolyFp.of(3, (1, 2, 2))),
+                          (PolyQ.of([]), PolyQ.of([1, Fraction(-2, 3), 5]))):
+            f = RationalFunction(zero, den)
+            assert f == RationalFunction.of(zero) and hash(f) == hash(RationalFunction.of(zero))
+            with pytest.raises(ZeroValuationError):
+                places_of(f)
 
     def test_degree_sum_zero_bulk(self):
         rng = random.Random(79)

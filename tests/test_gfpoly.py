@@ -229,6 +229,9 @@ class TestPublicConstructor:
             f - f,
             -f,
             f.scale(3),
+            f.scale(0),
+            f.scale(p),
+            f.scale(-1),
             f.monic(),
             f.gcd(g),
             f.derivative(),
@@ -240,6 +243,8 @@ class TestPublicConstructor:
             assert r == public and hash(r) == hash(public)
             assert all(0 <= c < p for c in r.coeffs)
             assert not r.coeffs or r.coeffs[-1] != 0
+        assert f.scale(0) == f.scale(p) == PolyFp(p, ())
+        assert f.scale(-1) == PolyFp(p, (4, 0, 2, 6))
 
 
 class TestFactor:
@@ -250,6 +255,16 @@ class TestFactor:
             (PolyFp.of(3, (1, 1)), 1),
             (PolyFp.of(3, (2, 1)), 1),
         ]
+        # every product of two distinct linears over F_3, against its roots;
+        # on these inputs Cantor-Zassenhaus draws constant r too
+        for lead in (1, 2):
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                f = PolyFp.of(3, (lead,)) * PolyFp.of(3, (-a, 1)) * PolyFp.of(3, (-b, 1))
+                roots = [c for c in range(3) if f.evaluate(c) == 0]
+                assert roots == [a, b]
+                parts = poly_factor_fp(f)
+                assert [m for _, m in parts] == [1, 1] and all(g.degree == 1 for g, _ in parts)
+                assert sorted(-g.coeffs[0] % 3 for g, _ in parts) == roots
 
     def test_x_is_irreducible(self):
         for p in (2, 3, 5, 7, 11):

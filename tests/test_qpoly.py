@@ -318,6 +318,10 @@ class TestFactor:
         # a nonzero constant is its own content, with no irreducible factor
         assert factor_q(PolyQ.constant(Fraction(-3, 2))) == (Fraction(-3, 2), [])
         assert not is_irreducible_q(PolyQ.constant(2))
+        # every linear is irreducible, whatever its leading coefficient
+        for lead in (Fraction(2, 3), Fraction(-5, 7), -3):
+            for c in (0, Fraction(1, 2), -4):
+                assert is_irreducible_q(PolyQ.of([c, lead]))
 
 
 def eisenstein_stall(seed=17, degree=64, bits=256):
