@@ -178,6 +178,8 @@ class RationalFunction(Value):
 
     def valuation_at(self, place: FFPlace) -> int:
         """v_w(f) for nonzero f."""
+        if place.char != self.char:
+            raise ValueError("place and function live over different base fields")
         if self.is_zero():
             raise ZeroValuationError("v(0) is +infinity")
         if place.is_infinite:
@@ -190,6 +192,8 @@ class RationalFunction(Value):
         Finite place: (num mod pi) * (den mod pi)^(-1), a polynomial of degree
         < deg pi. Infinite place: the constant f(1/x)|_{x=0} of the base field.
         """
+        if place.char != self.char:
+            raise ValueError("place and function live over different base fields")
         if place.is_infinite:
             model = self.at_infinity_model()
             # x is monic irreducible over every k: the place (x) needs no test

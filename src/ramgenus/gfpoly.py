@@ -5,14 +5,14 @@ with the zero polynomial represented by the empty tuple. All values are
 immutable; every operation returns a fresh polynomial.
 
 Internal arithmetic runs on plain lists of ints (``_mul``, ``_mul_mod``,
-``_add_mod``, ``_divmod`` by any divisor with a unit leading coefficient, the
-monic ``_gcd``, the inverse ``_inv_mod``; ``qpoly``'s products, Hensel lifting
-and inverse share them), reduced once per product. Repeated products modulo
-one monic f and prime p (``_product_mod``: power-class tests, the Frobenius
-table, norms, tame residues) pack each list into one int at 64 bits per
-coefficient, multiply once and reduce word by word, whenever
-2 deg(f) p^2 < 2^64, the word bound; past it they are
-``_divmod(_mul(u, v), f, p)``. Only the public constructors (``PolyFp(...)``,
+``_add_mod``, ``_divmod`` by any divisor with a unit leading coefficient and
+its quotient-free ``_rem``, the monic ``_gcd``, the inverse ``_inv_mod``;
+``qpoly``'s products, Hensel lifting and inverse share them), reduced once per
+product. Repeated products modulo one monic f and prime p (``_product_mod``:
+power-class tests, the Frobenius table, norms, tame residues) pack each list
+into one int at 64 bits per coefficient, multiply once and reduce word by
+word, whenever 2 deg(f) p^2 < 2^64, the word bound; past it they are
+``_rem(_mul(u, v), f, p)``. Only the public constructors (``PolyFp(...)``,
 ``of``, ``constant``, ``x``) check p and reduce coefficients; ring operations
 build their results with the trusted ``PolyFp._make`` (over ``Value._new``).
 
@@ -103,6 +103,18 @@ def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     return _trim(q), _trim([c % m for c in rem[:db]])
 
 
+def _rem(a: list[int], b: list[int], m: int) -> list[int]:
+    """``_divmod(a, b, m)[1]``, by the same reduction without the quotient."""
+    db, inv = len(b) - 1, 1 if b[-1] == 1 else pow(b[-1], -1, m)
+    rem = list(a)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % m
+        if c:
+            for j, y in enumerate(b, i - db):
+                rem[j] -= c * y
+    return _trim([c % m for c in rem[:db]])
+
+
 def _monic(a, p: int) -> list[int]:
     """a scaled to be monic mod p; a nonzero and reduced."""
     if a[-1] == 1:
@@ -114,14 +126,14 @@ def _monic(a, p: int) -> list[int]:
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """The monic gcd of a and b mod p (empty when both are)."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
+        a, b = b, _rem(a, b, p)
     return _monic(a, p) if a else a
 
 
 def _inv_mod(a, f: list[int], p: int) -> list[int]:
     """a^(-1) mod (f, p) for an a prime to any divisor f with a unit leading
     coefficient, by extended Euclid; s * a = r mod f for every remainder r."""
-    r0, r1 = f, _divmod(a, f, p)[1]
+    r0, r1 = f, _rem(a, f, p)
     s0, s1 = [], [1]
     while len(r1) > 1:
         q, r = _divmod(r0, r1, p)
@@ -140,7 +152,7 @@ def _norm(f: list[int], g, p: int) -> int:
     leading coefficient c, Res(f, r) = (-1)^(deg f * k) c^(deg f) Res(r/c, f)."""
     out = 1
     while len(f) > 1:
-        r = _divmod(g, f, p)[1]
+        r = _rem(g, f, p)
         if not r:
             return 0
         m, k, c = len(f) - 1, len(r) - 1, r[-1]
@@ -206,10 +218,10 @@ def _product_mod(f: list[int], m: int):
     x^k = x^(k-n) g modulo f for g = x^n - f, so c x^(k-n) g, g packed with
     entries in [0, m), is added below it; the words from n up are dropped at
     the end, and no word goes negative; an empty operand packs to 0. Past the
-    bound, ``_divmod`` (any divisor with a unit leading coefficient)."""
+    bound, ``_rem`` (any divisor with a unit leading coefficient)."""
     n = len(f) - 1
     if not _fits_words(n, m):
-        return lambda u, v: _divmod(_mul(u, v), f, m)[1]
+        return lambda u, v: _rem(_mul(u, v), f, m)
     g, low = _pack([-c % m for c in f[:-1]]), (1 << 64 * n) - 1
 
     def product(u, v):
@@ -231,7 +243,7 @@ def _norm_power(r: list[int], d: int, frob, f: list[int], p: int) -> list[int]:
     product = _product_mod(f, p)
     t = norm = r
     for _ in range(d - 1):
-        t = _divmod(frob(t), f, p)[1]
+        t = _rem(frob(t), f, p)
         norm = product(norm, t)
     return _power(norm, (p - 1) // 2, product)
 
@@ -263,6 +275,10 @@ class _Poly(Value):
         if not self.coeffs:
             raise ZeroValuationError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
+
+    def _check(self, other) -> None:  # an operand over another ring is refused
+        if other.__class__ is not self.__class__:
+            raise TypeError(f"cannot combine {_ring(self)} and {_ring(other)}")
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -355,7 +371,8 @@ class PolyFp(_Poly):
         return self.coeffs[0] if self.coeffs else 0
 
     def _check(self, other: "PolyFp") -> None:
-        if self.p != other.p:
+        if other.__class__ is not PolyFp or self.p != other.p:
+            _Poly._check(self, other)  # TypeError for another ring
             raise ValueError("mixed characteristics")
 
     # -- ring operations -----------------------------------------------------
@@ -399,6 +416,12 @@ class PolyFp(_Poly):
     pow_mod = _Poly.pow_mod  # bench/spans.py wraps PolyFp.__dict__["pow_mod"]
 
 
+def _ring(a) -> str:
+    if isinstance(a, PolyFp):
+        return f"F_{a.p}[x]"
+    return "Q[x]" if isinstance(a, _Poly) else type(a).__name__
+
+
 # -- residue field k[x]/(pi) ---------------------------------------------------
 
 
@@ -427,7 +450,7 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
     the roots of pi; so the test is N(r)^((p-1)/g) = 1 in F_p.
     """
     p, m = r.p, _monic(pi.coeffs, r.p)
-    r = _divmod(r.coeffs, m, p)[1]
+    r = _rem(r.coeffs, m, p)
     if not r:
         raise ZeroValuationError("power-class test of 0 in the residue field")
     q = p**pi.degree
@@ -443,12 +466,21 @@ def residue_class_is_nth_power(r: PolyFp, pi: PolyFp, n: int) -> bool:
 def _frobenius(f: list[int], p: int):
     """h -> h^p mod f, for a monic f of degree n >= 2 and deg h < n: Frobenius
     is F_p-linear, so it is applied from the table x^(i p) mod f, i < n (von
-    zur Gathen-Gerhard, ch. 14), built from one power by p and n - 2
-    products; within the word bound as one sum of packed rows h_i x^(i p).
-    One more remainder gives h^p modulo a divisor of f."""
+    zur Gathen-Gerhard, ch. 14), built from one power by p, whose products by
+    x are shifts (a top term c x^n becomes c (x^n - f)), and n - 2 products;
+    within the word bound as one sum of packed rows h_i x^(i p). One more
+    remainder gives h^p modulo a divisor of f."""
     n = len(f) - 1
-    product = _product_mod(f, p)
-    rows = [[1], _power([0, 1], p, product)]
+    product, x = _product_mod(f, p), [0, 1]
+
+    def times(u, v):
+        if v is not x:
+            return product(u, v)
+        u = [0, *u] if u else u
+        c = u.pop() if len(u) > n else 0  # the coefficient at x^n
+        return _trim([(a - c * b) % p for a, b in zip(u, f)]) if c else u
+
+    rows = [[1], _power(x, p, times)]
     for _ in range(n - 2):
         rows.append(product(rows[-1], rows[1]))
     if _fits_words(n, p):
@@ -491,7 +523,7 @@ def _equal_degree_split(f: list[int], d: int, frob, p: int, rng: random.Random) 
         if p == 2:
             t = acc = r
             for _ in range(d - 1):
-                t = _divmod(frob(t), f, p)[1]
+                t = _rem(frob(t), f, p)
                 acc = _add_mod(acc, t, p)
         else:
             acc = _add_mod(_norm_power(r, d, frob, f, p), [1], p, -1)
@@ -514,15 +546,15 @@ def poly_factor_fp(f: PolyFp) -> list[tuple[PolyFp, int]]:
     """
     if f.is_zero():
         raise ZeroValuationError("cannot factor the zero polynomial")
-    p = f.p
-    # seeded per input so results are reproducible run to run
-    rng = random.Random(("gfpoly", p, f.coeffs).__repr__())
+    p, rng = f.p, None
     out: list[tuple[PolyFp, int]] = []
     rest, scale = _monic(f.coeffs, p), 1
     while len(rest) > 1:
         g = _gcd(rest, _derivative(rest, p), p)
         frob, parts = _distinct_degree(_divmod(rest, g, p)[0], p)
         for prod, d in parts:
+            if rng is None and len(prod) - 1 > d:  # seeded per input at its first draw
+                rng = random.Random(("gfpoly", p, f.coeffs).__repr__())
             for u in _equal_degree_split(prod, d, frob, p, rng):
                 mult, (q, r) = scale, _divmod(g, u, p)
                 while not r:

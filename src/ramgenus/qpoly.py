@@ -13,7 +13,8 @@ resultant is the subresultant algorithm (``_resultant_z``), and factorization
 follows Zassenhaus (1969; von zur Gathen-Gerhard, Modern Computer Algebra,
 ch. 15): the squarefree part f / gcd(f, f'), factor degrees modulo up to three
 small primes by distinct-degree factorization, equal-degree splitting of those
-parts modulo one of them, quadratic Hensel lifting past a Mignotte bound, and
+parts modulo one of them, lifting past a Mignotte bound (Newton's iteration
+for the roots, quadratic Hensel lifting for the other factors), and
 recombination of lifted factors checked by exact division.
 
 A residue field K = Q[x]/(pi) is worked in on its monic integer model
@@ -40,7 +41,7 @@ from .errors import ZeroValuationError
 from .exactarith import primes_after
 from .gfpoly import (
     PolyFp, _add_mod, _check_char, _divmod, _equal_degree_split, _gcd, _inv_mod, _mul,
-    _mul_mod, _norm_power, _Poly, _power, _squarefree_ddf, _trim,
+    _mul_mod, _norm_power, _Poly, _power, _rem, _squarefree_ddf, _trim,
 )
 
 class PolyQ(_Poly):
@@ -70,6 +71,7 @@ class PolyQ(_Poly):
 
     def gcd(self, other: "PolyQ") -> "PolyQ":
         """The monic gcd, from the primitive gcd of the integer models."""
+        self._check(other)
         g = _gcd_z(self._model[1], other._model[1])
         return PolyQ._make(g, Fraction(1, g[-1]) if g else Fraction(0))
 
@@ -90,6 +92,7 @@ class PolyQ(_Poly):
 
     def __add__(self, other: "PolyQ") -> "PolyQ":
         """The sum over the common denominator of the contents."""
+        self._check(other)
         (ca, A), (cb, B) = self._model, other._model
         den = lcm(ca.denominator, cb.denominator)
         sa, sb = (c.numerator * (den // c.denominator) for c in (ca, cb))
@@ -97,6 +100,7 @@ class PolyQ(_Poly):
         return PolyQ._make(ints, Fraction(1, den))
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
+        self._check(other)
         (ca, A), (cb, B) = self._model, other._model
         return PolyQ._make(_mul(A, B), ca * cb)
 
@@ -104,6 +108,7 @@ class PolyQ(_Poly):
         return PolyQ._make(self._model[1], self._model[0] * Fraction(c))
 
     def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
+        self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         (ca, A), (cb, B) = self._model, other._model
@@ -266,8 +271,8 @@ def _inv_z(b, f) -> tuple[list[int], int]:
     v, m = _inv_mod(b, f, p), p
     while m <= 2 * bound:
         m *= m
-        e = _add_mod([2], _divmod(_mul(b, v), f, m)[1], m, -1)
-        v = _divmod(_mul(v, e), f, m)[1]
+        e = _add_mod([2], _rem(_mul(b, v), f, m), m, -1)
+        v = _rem(_mul(v, e), f, m)
     return _trim([c - m if 2 * c > m else c for c in (res * c % m for c in v)]), res
 
 
@@ -307,16 +312,34 @@ def _hensel_step(f, g, h, s, t, m: int):
 
 def _hensel_lift(f: list[int], factors: list, p: int, modulus: int) -> list[list[int]]:
     """Lift f = lc(f) * prod(factors) mod p, the factors monic and pairwise
-    coprime mod p, to monic factors mod ``modulus`` = p^(2^j).
+    coprime mod p, to monic factors mod ``modulus`` = p^(2^j), in their order.
 
-    The products g (times lc(f)) and h of the two halves of the factors get
-    s g + t h = 1 mod p from ``_inv_mod``; that split is lifted quadratically,
-    and each half is lifted on in turn (the factor tree of von zur
-    Gathen-Gerhard, Alg. 15.17, walked depth first).
+    A linear factor x - r is a simple root r of the squarefree f mod p, lifted
+    by Newton's iteration r <- r - f(r) / f'(r) mod p^(2^k); the others are
+    lifted from f / prod (x - r) mod ``modulus``, lc(f) times their product.
+    Two or more of those split into the products g (times lc(f)) and h of two
+    halves, with s g + t h = 1 mod p from ``_inv_mod``; that split is lifted
+    quadratically, and each half is lifted on in turn (the factor tree of von
+    zur Gathen-Gerhard, Alg. 15.17, depth first). Hensel lifts are unique.
     """
     if len(factors) == 1:
         inv = pow(f[-1], -1, modulus)
         return [[c * inv % modulus for c in f]]
+    if any(len(u) == 2 for u in factors):
+        lin, rest = [], [u for u in factors if len(u) > 2]
+        for r, m in [(-u[0] % p, p) for u in factors if len(u) == 2]:
+            while m < modulus:
+                m, v, d = m * m, 0, 0
+                for c in reversed(f):
+                    v, d = (v * r + c) % m, (d * r + v) % m
+                r = (r - v * pow(d, -1, m)) % m
+            lin.append([-r % modulus, 1])
+        if rest:
+            h = [1]
+            for u in lin:
+                h = _mul_mod(h, u, modulus)
+            rest = _hensel_lift(_divmod(f, h, modulus)[0], rest, p, modulus)
+        return [lin.pop(0) if len(u) == 2 else rest.pop(0) for u in factors]
     half = len(factors) // 2
     g, h = [f[-1] % p], [1]
     for u in factors[:half]:
@@ -574,7 +597,7 @@ def _local_nonsquare(r: list[int], f: list[int]) -> bool:
             g = _divmod(g, _gcd(g, rp, p), p)[0]  # r a unit modulo all of g
             if len(g) == 1:
                 continue
-            if _norm_power(_divmod(rp, g, p)[1], k, frob, g, p) != [1]:
+            if _norm_power(_rem(rp, g, p), k, frob, g, p) != [1]:
                 return True
     return False
 

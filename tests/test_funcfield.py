@@ -170,6 +170,21 @@ class TestRationalFunction:
             with pytest.raises(ZeroDivisionError):
                 RationalFunction(zero._like((0, 1)), zero)
 
+    def test_place_over_another_base_field_rejected(self):
+        # both place methods refuse, as tame_residue does, in either direction
+        cases = [
+            (RationalFunction.of(PolyFp.of(5, [1, 1])),
+             [FFPlace.finite(PolyQ.of([1, 1])), FFPlace.infinity(0),
+              FFPlace.finite(PolyFp.of(7, [1, 1])), FFPlace.infinity(7)]),
+            (RationalFunction.of(PolyQ.of([1, 1])),
+             [FFPlace.finite(PolyFp.of(5, [1, 1])), FFPlace.infinity(5)]),
+        ]
+        for f, places in cases:
+            for w in places:
+                for method in (f.valuation_at, f.residue_at):
+                    with pytest.raises(ValueError, match="different base fields"):
+                        method(w)
+
     def test_coprime_high_height_quotient_reduces_at_once(self):
         # x^64 + 3 C over a random monic g of degree 64, both with 256-bit
         # coefficients: once a full primitive remainder sequence

@@ -4,7 +4,9 @@ from math import gcd, isqrt
 
 import pytest
 
+from ramgenus import gfpoly
 from ramgenus.errors import UnsupportedFieldError, ZeroValuationError
+from ramgenus.qpoly import PolyQ
 from ramgenus.gfpoly import (
     PolyFp,
     _add_mod,
@@ -14,6 +16,7 @@ from ramgenus.gfpoly import (
     _mul,
     _power,
     _product_mod,
+    _rem,
     _squarefree_ddf,
     _norm,
     _trim,
@@ -116,6 +119,22 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             _divmod([1, 2, 3, 4], b, m)
 
+    def test_rem_is_the_remainder_of_divmod(self):
+        # non-monic divisors, moduli p, p^k and 2^62, unreduced dividends
+        # (negative or past m) and dividends shorter than the divisor
+        rng = random.Random(23)
+        for m in (2, 3, 10007, 2**31 - 1, 3**5, 7**4, 10007**2, 2**62):
+            for _ in range(60):
+                a = _trim([rng.randrange(-3 * m, 3 * m) for _ in range(rng.randint(0, 9))])
+                lead = rng.choice([1, m - 1] + [c for c in (2, 3, 5, 7) if gcd(c, m) == 1])
+                b = [rng.randrange(m) for _ in range(rng.randint(0, 5))] + [lead]
+                assert _rem(a, b, m) == _divmod(a, b, m)[1], (m, a, b)
+
+    @pytest.mark.parametrize("b, m", [([1, 3], 9), ([5, 7], 7)])
+    def test_rem_refuses_a_non_unit_leading_coefficient(self, b, m):
+        with pytest.raises(ValueError):
+            _rem([1, 2, 3, 4], b, m)
+
     def test_str(self):
         f = PolyFp.of(3, (2, 0, 1))
         assert str(f) == "x^2 + 2"
@@ -208,6 +227,52 @@ class TestWordPackedProducts:
                 assert frob(h) == (_power(h, p, want) if h else []), (p, n, h)
 
 
+class TestFrobeniusRows:
+    """The table of ``_frobenius``, x^(i p) mod f for i < deg f, is read back
+    as the images of x^i and checked against ``PolyFp.pow_mod``; the power
+    x^p multiplies by x as shifts."""
+
+    @pytest.mark.parametrize("p", (2, 3, 10007, 2**61 - 1))
+    def test_rows_against_pow_mod(self, p):
+        rng = random.Random(p % 1000)
+        moduli = [[1] * 4, [0, 0, 1], [0] * 5 + [1], [p - 1, 0, 0, 1]]  # x^2, x^5: f(0) = 0
+        moduli += [[rng.randrange(p) for _ in range(n)] + [1] for n in (2, 3, 4, 7, 10)]
+        for f in moduli:
+            n, F = len(f) - 1, PolyFp(p, tuple(f))
+            frob = _frobenius(f, p)
+            for i in range(n):
+                row = list(PolyFp(p, (0,) * i + (1,)).pow_mod(p, F).coeffs)
+                assert frob([0] * i + [1]) == row, (p, f, i)
+        assert not _fits_words(10, 2**61 - 1)
+
+
+class TestMixedRings:
+    """Arithmetic between F_p[x] and Q[x] raises TypeError naming both rings,
+    in either order; another characteristic stays a ValueError."""
+
+    OPS = [
+        lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g, divmod,
+        lambda f, g: f // g, lambda f, g: f % g, lambda f, g: f.gcd(g),
+        lambda f, g: f.pow_mod(2, g), lambda f, g: f.pow_mod(-1, g),
+    ]
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_each_operation_in_both_orders(self, op):
+        fp, q = PolyFp.of(5, [1, 1]), PolyQ.of([1, 1])
+        with pytest.raises(TypeError, match=r"F_5\[x\] and Q\[x\]"):
+            op(fp, q)
+        with pytest.raises(TypeError, match=r"Q\[x\] and F_5\[x\]"):
+            op(q, fp)
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            op(fp, PolyFp.of(7, [1, 1]))
+
+    def test_other_operands_are_named_by_type(self):
+        with pytest.raises(TypeError, match="F_5\\[x\\] and int"):
+            PolyFp.of(5, [1, 1]) * 3
+        with pytest.raises(TypeError, match="Q\\[x\\] and int"):
+            PolyQ.of([1, 1]) + 3
+
+
 class TestPublicConstructor:
     def test_validates_and_reduces(self):
         with pytest.raises(ValueError):
@@ -265,6 +330,28 @@ class TestFactor:
                 parts = poly_factor_fp(f)
                 assert [m for _, m in parts] == [1, 1] and all(g.degree == 1 for g, _ in parts)
                 assert sorted(-g.coeffs[0] % 3 for g, _ in parts) == roots
+
+    def test_random_generator_only_for_a_split(self, monkeypatch):
+        # every distinct-degree part one irreducible: no draw, no generator
+        built = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(gfpoly.random, "Random", Counted)
+        x, quad, cubic = PolyFp.x(7), PolyFp.of(7, [1, 0, 1]), PolyFp.of(7, [3, 0, 0, 1])
+        for f, factors in [
+            (x, [(x, 1)]),
+            (x * x * x * quad * quad * cubic, [(x, 3), (quad, 2), (cubic, 1)]),
+            (x * _power(quad, 7, PolyFp.__mul__) * cubic, [(x, 1), (quad, 7), (cubic, 1)]),
+        ]:
+            assert poly_factor_fp(f) == factors
+        assert built == []
+        f = x * (x + PolyFp.constant(7, 1))  # one part of two linears: split
+        assert [g for g, _ in poly_factor_fp(f)] == [x, x + PolyFp.constant(7, 1)]
+        assert built == [repr(("gfpoly", 7, f.coeffs))]
 
     def test_x_is_irreducible(self):
         for p in (2, 3, 5, 7, 11):

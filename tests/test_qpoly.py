@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from ramgenus.errors import ZeroValuationError
 from ramgenus.exactarith import is_rational_square
 from ramgenus import gfpoly, qpoly
-from ramgenus.gfpoly import PolyFp, _mul
+from ramgenus.gfpoly import PolyFp, _add_mod, _divmod, _inv_mod, _mul, _mul_mod
 from ramgenus.qpoly import (
     PolyQ, _factor_squarefree, _pdivmod, _resultant_z, factor_q, is_irreducible_q, is_square_mod,
     rational_roots,
@@ -421,6 +421,89 @@ class TestRationalRoots:
             * PolyQ.of([2, 3])
         )
         assert rational_roots(f) == [Fraction(-2, 3), Fraction(0), Fraction(10**9 + 7, 3)]
+
+
+def tree_lift(f, factors, p, modulus):
+    """Reference for ``_hensel_lift``: the factor tree over every modular
+    factor, the linear ones included (von zur Gathen-Gerhard, Alg. 15.17)."""
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, modulus)
+        return [[c * inv % modulus for c in f]]
+    half = len(factors) // 2
+    g, h = [f[-1] % p], [1]
+    for u in factors[:half]:
+        g = _mul_mod(g, u, p)
+    for u in factors[half:]:
+        h = _mul_mod(h, u, p)
+    s = _inv_mod(g, h, p)
+    t = _divmod(_add_mod([1], _mul(s, g), p, -1), h, p)[0]
+    m = p
+    while m < modulus:
+        g, h, s, t = qpoly._hensel_step(f, g, h, s, t, m)
+        m *= m
+    return tree_lift(g, factors[:half], p, modulus) + tree_lift(h, factors[half:], p, modulus)
+
+
+def elliptic_cubic(rng):
+    """A cubic with three integer roots, drawn as the benchmark's
+    ``elliptic_coefficients`` ops draw them: one root of size 10^3 to 10^4."""
+    roots = {rng.choice((-1, 1)) * rng.randint(1000, 10**4)}
+    while len(roots) < 3:
+        roots.add(rng.choice((-1, 1)) * rng.randint(1, 300))
+    f = [1]
+    for r in roots:
+        f = _mul(f, [-r, 1])
+    return f
+
+
+class TestHenselLift:
+    """Linear factors lift as p-adic roots, the rest through the factor tree;
+    the lifts equal the tree's over all factors, entry by entry."""
+
+    SHAPES = ("all linear", "one nonlinear", "several nonlinear", "no linear")
+
+    @staticmethod
+    def shape(factors):
+        linear = sum(len(u) == 2 for u in factors)
+        nonlinear = len(factors) - linear
+        if not nonlinear:
+            return "all linear"
+        if not linear:
+            return "no linear"
+        return "one nonlinear" if nonlinear == 1 else "several nonlinear"
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 10007))
+    def test_against_the_factor_tree(self, p):
+        rng = random.Random(p)
+        seen = dict.fromkeys(self.SHAPES, 0)
+        for trial in range(3000):
+            if trial % 2:
+                f = elliptic_cubic(rng)
+            else:
+                f = [1]
+                for _ in range(rng.randint(2, 4)):
+                    f = _mul(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+                f = [rng.choice((1, 2, 3, -5)) * c for c in f]
+            fp = PolyFp(p, tuple(f))
+            if f[-1] % p == 0 or fp.gcd(fp.derivative()).degree > 0:
+                continue  # f must stay squarefree of the same degree mod p
+            factors = [list(g.coeffs) for g, _ in gfpoly.poly_factor_fp(fp)]
+            if len(factors) < 2:
+                continue
+            rng.shuffle(factors)
+            modulus = p
+            while modulus <= 10**40:
+                modulus *= modulus
+            lifted = qpoly._hensel_lift(f, factors, p, modulus)
+            assert lifted == tree_lift(f, factors, p, modulus), (p, f, factors)
+            product = [f[-1]]
+            for u in lifted:
+                product = _mul_mod(product, u, modulus)
+            assert product == [c % modulus for c in f]
+            seen[self.shape(factors)] += 1
+            if min(seen.values()) >= 10:
+                break
+        assert min(seen.values()) >= 10, seen
 
 
 def sympy_factor_q(f: PolyQ) -> tuple[Fraction, list[tuple[PolyQ, int]]]:
